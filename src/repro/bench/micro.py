@@ -9,7 +9,6 @@ meaningful; ``scale`` shrinks the counts uniformly for the CI smoke job.
 The operation each layer counts:
 
 * ``trace_gen``            — synthetic trace records produced (streaming)
-* ``trace_gen_batch``      — records produced by the numpy batch generator
 * ``cache_lookup_fill``    — cache demand lookups (misses also fill)
 * ``spp_train``            — SPP training events (L2 demand accesses)
 * ``filter_inference``     — perceptron inferences
@@ -112,19 +111,6 @@ def _bench_trace_gen(ops: int) -> Callable[[], int]:
     def run() -> int:
         count = 0
         for _ in workload.trace(ops, seed=1):
-            count += 1
-        return count
-
-    return run
-
-
-@_benchmark("trace_gen_batch", ops=150_000)
-def _bench_trace_gen_batch(ops: int) -> Callable[[], int]:
-    from ..workloads.batch import batch_trace
-
-    def run() -> int:
-        count = 0
-        for _ in batch_trace("605.mcf_s", ops, seed=1):
             count += 1
         return count
 

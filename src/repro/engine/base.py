@@ -7,10 +7,10 @@ checkpoints, sweeps) never sees which driver is running:
 
 * ``scalar`` — the original record-at-a-time loop.  Bit-identical with
   every previous release; the golden-stats oracle.
-* ``batched`` — pulls the trace in chunks, decomposes addresses with
-  numpy, and runs a fused per-record kernel that inlines the hot
-  core/cache/SPP/perceptron path.  Event-order equivalent with scalar
-  (see docs/performance.md, "Batched engine").
+* ``batched`` — pulls the trace in chunks and runs a fused per-record
+  kernel that inlines the hot core/cache/SPP/perceptron path.
+  Event-order equivalent with scalar (see docs/performance.md,
+  "Batched engine").
 
 Engines are registry components (kind ``"engine"``), so ``--engine``
 names resolve — and fail — through the same catalog machinery as

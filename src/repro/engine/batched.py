@@ -1,12 +1,11 @@
 """The batched engine: chunked trace pull + fused per-record kernel.
 
-The engine pulls the trace in ``engine_chunk``-record chunks, vectorizes
-the address decomposition (block / page / page-offset) for the whole
-chunk with numpy, and then drives a *fused kernel* that inlines the
-scalar hot path — O3 core bookkeeping, L1/L2/LLC indexing and tag match,
-DRAM row-buffer timing, SPP's signature/pattern updates and lookahead
-walk, and the perceptron's nine-feature index/sum — into one Python
-frame with every counter held in locals until the chunk ends.
+The engine pulls the trace in ``engine_chunk``-record chunks and drives
+a *fused kernel* that inlines the scalar hot path — O3 core
+bookkeeping, L1/L2/LLC indexing and tag match, DRAM row-buffer timing,
+SPP's signature/pattern updates and lookahead walk, and the
+perceptron's nine-feature index/sum — into one Python frame with every
+counter held in locals until the chunk ends.
 
 Equivalence contract (see docs/performance.md, "Batched engine"):
 
@@ -19,10 +18,9 @@ Equivalence contract (see docs/performance.md, "Batched engine"):
   earlier accesses, and — with ``train_on_displacement`` — inserting
   one accepted candidate can move perceptron weights before the next
   candidate of the *same trigger* is scored.  What batching buys is
-  chunked trace production, vectorized address decomposition, and the
-  removal of ~15 function calls plus several transient objects
-  (``FeatureContext``/``PrefetchCandidate``/``meta`` dicts/
-  ``AccessResult``) per access.
+  chunked trace production and the removal of ~15 function calls plus
+  several transient objects (``FeatureContext``/``PrefetchCandidate``/
+  ``meta`` dicts/``AccessResult``) per access.
 * All state is flushed before ``advance`` returns: chunk boundaries are
   drain points, so ``state_dict()`` round-trips between engines and
   telemetry probes sampling at chunk boundaries see exactly what the
@@ -42,15 +40,10 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 
-from ..core.filter import PerceptronFilter
-from ..core.ppf import PPF
 from ..core.tables import TableEntry
 from ..cpu.o3core import O3Core
-from ..memory.address import decompose_batch
 from ..memory.cache import CacheLine
-from ..memory.dram import DRAM
-from ..memory.hierarchy import MemoryHierarchy
-from ..prefetchers.spp import SPP, _GHREntry, _PatternEntry, _SignatureEntry
+from ..prefetchers.spp import _GHREntry, _PatternEntry, _SignatureEntry
 from ..registry import register
 from .multi_core import _hier_eligible, _ppf_core_eligible, batched_advance_multi
 
@@ -92,7 +85,7 @@ class BatchedEngine:
             if not records:
                 break
             if mode == "ppf":
-                _run_ppf_chunk(sim, records)
+                _ppf_kernel(sim, records)
             elif mode == "generic":
                 _run_generic_chunk(sim, records)
             else:  # unknown core type: defer to its own step()
@@ -200,20 +193,7 @@ def _run_generic_chunk(sim, records) -> None:
     stats.mlp_stalls = mlp_stalls
 
 
-def _run_ppf_chunk(sim, records) -> None:
-    addrs = [rec.addr for rec in records]
-    try:
-        blocks, pages, offsets = decompose_batch(addrs)
-    except OverflowError:  # address beyond int64: scalar decomposition
-        blocks = [a >> 6 for a in addrs]
-        pages = [a >> 12 for a in addrs]
-        offsets = [(a >> 6) & 63 for a in addrs]
-    pcs = [rec.pc for rec in records]
-    bubbles = [rec.bubble for rec in records]
-    _ppf_kernel(sim, pcs, addrs, bubbles, blocks, pages, offsets)
-
-
-def _ppf_kernel(sim, rec_pcs, addrs, bubbles, blocks, pages, offsets) -> None:
+def _ppf_kernel(sim, records) -> None:
     """One chunk of the fully fused PPF fast path.
 
     Replays, record for record and event for event, exactly what the
@@ -364,9 +344,11 @@ def _ppf_kernel(sim, rec_pcs, addrs, bubbles, blocks, pages, offsets) -> None:
     _Pat = _PatternEntry
     _Sig = _SignatureEntry
 
-    for pc, addr, bubble, block, page, offset in zip(
-        rec_pcs, addrs, bubbles, blocks, pages, offsets
-    ):
+    for rec in records:
+        pc = rec.pc
+        addr = rec.addr
+        bubble = rec.bubble
+        block = addr >> 6
         # ---- O3Core.step front end ----------------------------------------
         retire = retire_frac + bubble
         cycle += retire // width
@@ -409,6 +391,8 @@ def _ppf_kernel(sim, rec_pcs, addrs, bubbles, blocks, pages, offsets) -> None:
             continue
         l1_miss += 1
         cycle2 = cycle + l1_lat
+        page = addr >> 12
+        offset = block & 63
 
         # ---- L2 demand ------------------------------------------------------
         si2 = block & l2_mask

@@ -71,6 +71,7 @@ are safe to alias from any runner because every mutation is in place.
 from __future__ import annotations
 
 from bisect import bisect
+from collections import OrderedDict
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
@@ -85,11 +86,6 @@ from ..memory.dram import DRAM
 from ..memory.hierarchy import MemoryHierarchy
 from ..prefetchers.spp import SPP, _GHREntry, _PatternEntry, _SignatureEntry
 from ..workloads.synthetic import _PC_BASE, _PC_STRIDE, HotsetPattern, TraceStream
-
-try:
-    from collections import OrderedDict
-except ImportError:  # pragma: no cover
-    raise
 
 #: Bound meaning "no runner-up: run until budget runs out".  A float
 #: infinity compares above every int cycle, keeping the per-record guard

@@ -105,10 +105,9 @@ def kinds() -> List[str]:
 class RegistryView(Mapping):
     """A live, read-only mapping over one kind's catalog.
 
-    Legacy module-level dicts (``PREFETCHER_FACTORIES``) are replaced by
-    instances of this class, so ``name in FACTORIES``, ``sorted(...)``
-    and ``FACTORIES[name]`` all keep working while the registry stays
-    the single source of truth.
+    ``name in view``, ``sorted(view)`` and ``view[name]`` read the
+    registry at call time, so the registry stays the single source of
+    truth.
     """
 
     def __init__(self, kind: str) -> None:

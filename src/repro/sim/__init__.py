@@ -15,12 +15,7 @@ from .metrics import (
 from .fingerprint import config_fingerprint, fingerprint_digest
 from .multi_core import CoreOutcome, MultiCoreResult, run_multi_core
 from .runner import ExperimentRunner
-from .single_core import (
-    PREFETCHER_FACTORIES,
-    RunResult,
-    make_prefetcher,
-    run_single_core,
-)
+from .single_core import RunResult, make_prefetcher, run_single_core
 from .suite import (
     CellFailure,
     CellPolicy,
@@ -55,7 +50,6 @@ __all__ = [
     "ExperimentRunner",
     "SuiteResult",
     "SuiteRunner",
-    "PREFETCHER_FACTORIES",
     "RunResult",
     "make_prefetcher",
     "run_single_core",

@@ -40,11 +40,6 @@ from ..zoo.filtered import FILTER_SPEC_PREFIX, make_filtered  # registers the zo
 from .config import SimConfig
 from .fingerprint import fingerprint_digest
 
-#: Live registry view; kept for backward compatibility with callers
-#: that treated the old hardcoded dict as the catalog of schemes.
-PREFETCHER_FACTORIES = registry.view("prefetcher")
-
-
 def make_prefetcher(name: str) -> Prefetcher:
     """Instantiate a prefetcher by name or ``filtered:<inner>`` spec.
 

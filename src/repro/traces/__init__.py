@@ -6,7 +6,9 @@ The pipeline (ROADMAP item 3) that turns this repo from
 1. **Readers** (:mod:`.formats`) — registry kind ``"trace_format"``:
    DRAMSim2 k6/mase text and fixed-width ChampSim-style binary records,
    decoded through transparent gzip/zstd decompression
-   (:mod:`.compress`) into chunked numpy column batches.
+   (:mod:`.compress`) into chunked numpy column batches.  numpy is
+   imported by the decode and write functions, not by this package, so
+   the simulator never loads it unless a trace file is decoded.
 2. **Canonical format** (:mod:`.canonical`) — one fixed binary layout
    (``.rpt``) everything downstream consumes; random access, O(1)
    record counts, atomic publication.

@@ -29,12 +29,16 @@ import struct
 from pathlib import Path
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from ..ioutil import atomic_write
 from ..registry import register
 from .errors import TraceFormatError
-from .formats import DEFAULT_DECODE_CHUNK, TraceBatch, _batch_from_struct
+from .formats import (
+    DEFAULT_DECODE_CHUNK,
+    RECORD_SIZE,
+    TraceBatch,
+    _batch_from_struct,
+    record_dtype,
+)
 
 CANONICAL_MAGIC = b"RPTC"
 CANONICAL_VERSION = 1
@@ -42,10 +46,6 @@ CANONICAL_SUFFIX = ".rpt"
 
 _HEADER = struct.Struct("<4sIQ")
 HEADER_SIZE = _HEADER.size  # 16
-
-#: Same packed record as the ChampSim-style binary format.
-RECORD_DTYPE = np.dtype([("pc", "<u8"), ("addr", "<u8"), ("bubble", "<u4")])
-RECORD_SIZE = RECORD_DTYPE.itemsize  # 20
 
 
 def pack_header(count: int) -> bytes:
@@ -95,7 +95,10 @@ def write_canonical(batches: Iterable[TraceBatch], path: Path | str) -> int:
     a reader can never observe the intermediate state.  An empty stream
     is a typed error and publishes nothing.
     """
+    import numpy as np
+
     path = Path(path)
+    dtype = record_dtype()
     count = 0
     with atomic_write(path, "wb") as handle:
         handle.write(pack_header(0))
@@ -103,7 +106,7 @@ def write_canonical(batches: Iterable[TraceBatch], path: Path | str) -> int:
             n = len(batch)
             if n == 0:
                 continue
-            arr = np.empty(n, dtype=RECORD_DTYPE)
+            arr = np.empty(n, dtype=dtype)
             arr["pc"] = batch.pcs
             arr["addr"] = batch.addrs
             arr["bubble"] = batch.bubbles
@@ -120,6 +123,9 @@ def read_batches(
     path: Path | str, chunk: int = DEFAULT_DECODE_CHUNK
 ) -> Iterator[TraceBatch]:
     """Decode a canonical file as column batches (validates the header)."""
+    import numpy as np
+
+    dtype = record_dtype()
     count = read_header(path)
     read = 0
     with open(path, "rb") as handle:
@@ -127,7 +133,7 @@ def read_batches(
         while read < count:
             want = min(chunk, count - read)
             blob = handle.read(want * RECORD_SIZE)
-            arr = np.frombuffer(blob, dtype=RECORD_DTYPE)
+            arr = np.frombuffer(blob, dtype=dtype)
             yield _batch_from_struct(arr, path, record_start=read)
             read += len(arr)
 

@@ -1,12 +1,11 @@
 """External trace formats: streaming, chunk-batched decoders.
 
 Each format is a registry component (kind ``"trace_format"``) whose
-``read_batches`` yields :class:`TraceBatch` column chunks — the same
-numpy ``(pcs, addrs, bubbles)`` int64 columns that
-:mod:`repro.workloads.batch` produces per chunk — so an ingested trace
-feeds the batched engine's chunked pipeline exactly like a synthetic
-batch workload, and the scalar engine materializes records from the
-same columns.
+``read_batches`` yields :class:`TraceBatch` column chunks — numpy
+``(pcs, addrs, bubbles)`` int64 columns — which
+:mod:`repro.traces.canonical` packs into ``.rpt`` files.  numpy is
+imported by the decoders themselves, so registering the formats (as
+``import repro`` does) does not load it; the first decode does.
 
 Supported external formats:
 
@@ -27,9 +26,9 @@ Supported external formats:
 ``champsim``
     A fixed-width binary ChampSim-style record: the three fields this
     simulator consumes (see :mod:`repro.cpu.trace`), packed
-    little-endian as ``<u64 pc, u64 addr, u32 bubble>`` — 20 bytes per
-    record, no header.  A file size that is not a whole number of
-    records is a typed truncation error, not a silent drop.
+    little-endian as ``<u64 pc, u64 addr, u32 bubble>`` (:func:`record_dtype`)
+    — 20 bytes per record, no header.  A file size that is not a whole
+    number of records is a typed truncation error, not a silent drop.
 
 ``canonical``
     The repo's own converted format (:mod:`repro.traces.canonical`),
@@ -45,9 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List
-
-import numpy as np
+from typing import Dict, Iterator, List, Sequence
 
 from ..registry import create as registry_create
 from ..registry import names as registry_names
@@ -86,14 +83,26 @@ K6_COMMANDS: Dict[str, int] = {
 #: Addresses/PCs must fit a signed int64 (numpy columns, TraceRecord).
 _INT63_LIMIT = 1 << 63
 
+#: Bytes per :func:`record_dtype` record.
+RECORD_SIZE = 20
+
+
+def record_dtype():
+    """The record of ChampSim-style binary files and of the canonical
+    ``.rpt`` body, as a numpy dtype: little-endian, unaligned
+    ``<u64 pc, u64 addr, u32 bubble>``."""
+    import numpy as np
+
+    return np.dtype([("pc", "<u8"), ("addr", "<u8"), ("bubble", "<u4")])
+
 
 @dataclass
 class TraceBatch:
-    """One decoded chunk as the batch-workload column convention."""
+    """One decoded chunk: int64 numpy columns, one entry per record."""
 
-    pcs: np.ndarray
-    addrs: np.ndarray
-    bubbles: np.ndarray
+    pcs: Sequence[int]
+    addrs: Sequence[int]
+    bubbles: Sequence[int]
 
     def __len__(self) -> int:
         return len(self.addrs)
@@ -196,16 +205,13 @@ class ChampSimTraceFormat:
 
     name = "champsim"
 
-    #: Little-endian, unaligned: u64 pc, u64 addr, u32 bubble.
-    RECORD_DTYPE = np.dtype(
-        [("pc", "<u8"), ("addr", "<u8"), ("bubble", "<u4")]
-    )
-    RECORD_SIZE = RECORD_DTYPE.itemsize  # 20
-
     def read_batches(
         self, path: Path | str, chunk: int = DEFAULT_DECODE_CHUNK
     ) -> Iterator[TraceBatch]:
-        size = self.RECORD_SIZE
+        import numpy as np
+
+        dtype = record_dtype()
+        size = RECORD_SIZE
         total = 0
         pending = b""
         with open_stream(path) as stream:
@@ -219,7 +225,7 @@ class ChampSimTraceFormat:
                 pending += blob
                 usable = len(pending) - (len(pending) % size)
                 if usable:
-                    arr = np.frombuffer(pending[:usable], dtype=self.RECORD_DTYPE)
+                    arr = np.frombuffer(pending[:usable], dtype=dtype)
                     pending = pending[usable:]
                     total += len(arr)
                     yield _batch_from_struct(arr, path, record_start=total - len(arr))
@@ -234,6 +240,8 @@ class ChampSimTraceFormat:
 
 
 def _batch(pcs: List[int], addrs: List[int], bubbles: List[int]) -> TraceBatch:
+    import numpy as np
+
     return TraceBatch(
         pcs=np.array(pcs, dtype=np.int64),
         addrs=np.array(addrs, dtype=np.int64),
@@ -241,10 +249,10 @@ def _batch(pcs: List[int], addrs: List[int], bubbles: List[int]) -> TraceBatch:
     )
 
 
-def _batch_from_struct(
-    arr: np.ndarray, path: Path | str, record_start: int
-) -> TraceBatch:
-    """Columns from a structured record array, range-checked."""
+def _batch_from_struct(arr, path: Path | str, record_start: int) -> TraceBatch:
+    """Columns from a :func:`record_dtype` array, range-checked."""
+    import numpy as np
+
     for fld in ("pc", "addr"):
         bad = arr[fld] >= _INT63_LIMIT
         if bad.any():
@@ -325,6 +333,8 @@ __all__ = [
     "ChampSimTraceFormat",
     "K6_COMMANDS",
     "MAX_BUBBLE",
+    "RECORD_SIZE",
+    "record_dtype",
     "DEFAULT_DECODE_CHUNK",
     "detect_format",
     "make_format",

@@ -7,7 +7,8 @@ like the synthetic :class:`~repro.workloads.synthetic.TraceStream`:
   partial consumption (``islice`` for warmup, then ``for`` for
   measurement) continues a single stream; both engines pull records
   through the same path, and the decode is chunked — one numpy column
-  batch per ``chunk`` records, materialized lazily.
+  batch per ``chunk`` records, materialized lazily (numpy itself loads
+  on the first chunk, not at import).
 * **Checkpointing** — ``state_dict()`` is just the record offset plus
   the file's identity (content digest and record count); ``load_state``
   on a freshly built stream verifies identity and repositions by
@@ -40,14 +41,13 @@ from functools import partial
 from pathlib import Path
 from typing import Iterator, List, Optional
 
-import numpy as np
-
 from ..cpu.trace import TraceRecord
 from ..registry import register
 from ..workloads.spec2017 import WorkloadSpec
-from .canonical import CANONICAL_SUFFIX, HEADER_SIZE, RECORD_DTYPE, RECORD_SIZE, read_header
 from .cache import file_digest
+from .canonical import CANONICAL_SUFFIX, HEADER_SIZE, read_header
 from .errors import TraceFormatError
+from .formats import RECORD_SIZE, record_dtype
 
 #: Records decoded per buffered column batch.
 DEFAULT_STREAM_CHUNK = 8_192
@@ -94,6 +94,8 @@ class TraceFileStream:
 
     def _fill(self, position: int) -> None:
         """Decode one column chunk starting at file record ``position``."""
+        import numpy as np
+
         if self._handle is None:
             self._handle = open(self.path, "rb")
         count = min(self.chunk, self.file_records - position)
@@ -105,7 +107,7 @@ class TraceFileStream:
                 "the stream",
                 path=self.path,
             )
-        arr = np.frombuffer(blob, dtype=RECORD_DTYPE)
+        arr = np.frombuffer(blob, dtype=record_dtype())
         # .tolist() once per chunk: native ints beat per-record np
         # scalar unboxing in the record loop.
         self._buffer = (

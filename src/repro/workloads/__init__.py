@@ -9,7 +9,6 @@ suite — which is how parallel workers rehydrate workloads by name.
 from typing import List
 
 from .. import registry
-from .batch import BatchMix, batch_interleave, batch_trace
 from .cloudsuite import cloudsuite_workloads
 from .mixes import WorkloadMix, build_mixes, memory_intensive_mixes, random_mixes
 from .recipes import Recipe, recipe
@@ -115,7 +114,4 @@ __all__ = [
     "SequentialPattern",
     "StridedPattern",
     "interleave",
-    "BatchMix",
-    "batch_interleave",
-    "batch_trace",
 ]

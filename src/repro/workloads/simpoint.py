@@ -15,14 +15,15 @@ SimPoints.  This module reproduces that methodology at trace scale:
 
 ``weighted_mean`` then aggregates per-SimPoint measurements exactly the
 way the paper aggregates per-application speedups.
+
+numpy is imported inside the functions that use it, so importing this
+module (as ``repro.workloads`` does) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, List, Sequence
 
 from ..cpu.trace import TraceRecord
 
@@ -43,15 +44,18 @@ class SimPoint:
 
 def signature_vectors(
     trace: Sequence[TraceRecord], window_size: int, pc_buckets: int = 32
-) -> np.ndarray:
+):
     """Per-window signature vectors (the basic-block-vector analogue).
 
-    Each vector concatenates a normalized histogram of load PCs (hashed
+    Returns an ``(n_windows, pc_buckets + 2)`` float numpy array.  Each
+    vector concatenates a normalized histogram of load PCs (hashed
     into ``pc_buckets``) with two normalized pattern statistics: the
     mean absolute block delta and the fraction of block-sequential
     accesses.  Windows shorter than ``window_size`` (the tail) are
     dropped, as SimPoint drops partial intervals.
     """
+    import numpy as np
+
     if window_size < 2:
         raise ValueError("window size must be at least 2")
     n_windows = len(trace) // window_size
@@ -81,9 +85,7 @@ def signature_vectors(
     return vectors
 
 
-def _kmeans(
-    vectors: np.ndarray, k: int, seed: int, iterations: int = 25
-) -> Tuple[np.ndarray, np.ndarray]:
+def _kmeans(vectors, k: int, seed: int, iterations: int = 25):
     """Plain deterministic k-means; returns (assignments, centroids).
 
     Initialization is farthest-point (a deterministic k-means++): the
@@ -91,6 +93,8 @@ def _kmeans(
     is the window farthest from all chosen so far.  This guarantees that
     well-separated phases each seed a cluster.
     """
+    import numpy as np
+
     n = vectors.shape[0]
     k = min(k, n)
     chosen = [seed % n]
@@ -127,6 +131,8 @@ def select_simpoints(
     the cluster centroid, weighted by the cluster's share of all
     windows.  Weights sum to 1.
     """
+    import numpy as np
+
     vectors = signature_vectors(trace, window_size)
     assignments, centroids = _kmeans(vectors, max_clusters, seed)
     simpoints: List[SimPoint] = []

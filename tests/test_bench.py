@@ -1,5 +1,4 @@
-"""Tests for repro.bench (microbenchmarks + report) and the batch trace
-generator that backs ``trace_gen_batch``."""
+"""Tests for repro.bench (microbenchmarks + report)."""
 
 import json
 
@@ -16,14 +15,12 @@ from repro.bench import (
     write_report,
 )
 from repro.bench.micro import BenchResult
-from repro.workloads import BatchMix, batch_interleave, batch_trace
 
 
 class TestRegistry:
     def test_expected_layers_present(self):
         expected = {
             "trace_gen",
-            "trace_gen_batch",
             "cache_lookup_fill",
             "spp_train",
             "filter_inference",
@@ -115,50 +112,3 @@ class TestReport:
         text = format_report(report)
         assert "cache_lookup_fill" in text
         assert "ops/sec" in text
-
-
-class TestBatchTrace:
-    def test_deterministic_per_seed(self):
-        a = list(batch_trace("605.mcf_s", 3_000, seed=9))
-        b = list(batch_trace("605.mcf_s", 3_000, seed=9))
-        assert a == b
-
-    def test_seeds_differ(self):
-        a = list(batch_trace("605.mcf_s", 3_000, seed=1))
-        b = list(batch_trace("605.mcf_s", 3_000, seed=2))
-        assert a != b
-
-    def test_chunk_size_is_not_part_of_the_stream_identity(self):
-        """Every randomness consumer owns its own seed-derived stream,
-        consumed in record order — so the trace is identified by the
-        seed alone and the chunk size is purely a throughput knob."""
-        mixes = [BatchMix("stream", 1.0, 4), BatchMix("hotset", 2.0, 6)]
-        whole = list(batch_interleave(mixes, 5_000, seed=4, chunk=5_000))
-        for chunk in (1, 7, 512, 4_096):
-            chunked = list(batch_interleave(mixes, 5_000, seed=4, chunk=chunk))
-            assert chunked == whole
-
-    def test_shorter_trace_is_a_prefix(self):
-        mixes = [BatchMix("random", 1.0, 4), BatchMix("chase", 1.0, 5)]
-        long = list(batch_interleave(mixes, 4_000, seed=8, chunk=256))
-        short = list(batch_interleave(mixes, 1_500, seed=8, chunk=1_024))
-        assert long[:1_500] == short
-
-    def test_records_are_block_aligned_and_valid(self):
-        for rec in batch_trace("623.xalancbmk_s", 2_000, seed=5):
-            assert rec.addr % 64 == 0
-            assert rec.addr >= 0
-            assert rec.bubble >= 0
-            assert rec.pc >= 0
-
-    def test_unknown_workload_uses_generic_recipe(self):
-        records = list(batch_trace("not_a_workload", 1_000, seed=1))
-        assert len(records) == 1_000
-
-    def test_invalid_mixes_rejected(self):
-        with pytest.raises(ValueError):
-            batch_interleave([], 100).__next__()
-        with pytest.raises(ValueError):
-            BatchMix("warp", 1.0)
-        with pytest.raises(ValueError):
-            BatchMix("stream", -1.0)

@@ -4,7 +4,7 @@ The engine seam (``repro.engine``) promises that ``batched`` is
 *bit-identical* with ``scalar`` — not approximately equal: the fused
 kernel replays the exact scalar event order, so every counter in the
 stats snapshot must match to the last unit (see docs/performance.md,
-"Batched engine").  This suite enforces the contract four ways:
+"Batched engine").  This suite enforces the contract three ways:
 
 * every golden-stats cell (none/spp/ppf × two workloads) re-run under
   ``--engine batched`` must match the committed golden file exactly —
@@ -13,9 +13,7 @@ stats snapshot must match to the last unit (see docs/performance.md,
   under the other and finishes bit-identical with a straight run, in
   both directions;
 * the engine chunk size and telemetry instrumentation are pure
-  throughput/observability knobs — neither may perturb results;
-* the vectorized feature/decision primitives agree index-for-index and
-  code-for-code with the scalar filter.
+  throughput/observability knobs — neither may perturb results.
 
 The final test is the performance gate: ``end_to_end_single_core``
 under the batched engine must beat the committed pre-PR baseline by at
@@ -32,8 +30,6 @@ import pytest
 
 from repro.bench.micro import BENCHMARKS, run_benchmarks
 from repro.bench.report import default_baseline_path, load_baseline
-from repro.core.features import FeatureContext, production_index_batch
-from repro.core.filter import DECISION_BY_CODE
 from repro.engine.batched import BatchedEngine, _select_mode
 from repro.sim.config import SimConfig
 from repro.sim.single_core import SingleCoreSim, run_single_core
@@ -185,84 +181,6 @@ class TestKnobsDoNotPerturbResults:
             if plain.stats.get(stat) != probed.stats.get(stat)
         }
         assert not mismatched, mismatched
-
-
-class TestVectorizedPrimitives:
-    """The numpy feature/decision twins match the scalar filter exactly."""
-
-    def _contexts(self):
-        out = []
-        value = 0x9E3779B97F4A7C15
-        for step in range(64):
-            value = (value * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            bits = value
-            out.append(
-                FeatureContext(
-                    candidate_addr=(bits >> 3) % (1 << 48),
-                    trigger_addr=(bits >> 7) % (1 << 48),
-                    pc=0x400000 + (bits % 4096) * 4,
-                    pcs=(
-                        0x400000 + ((bits >> 12) % 4096) * 4,
-                        0x400000 + ((bits >> 24) % 4096) * 4,
-                        0x400000 + ((bits >> 36) % 4096) * 4,
-                    ),
-                    delta=(bits % 129) - 64,
-                    depth=bits % 12,
-                    signature=bits % 4096,
-                    last_signature=(bits >> 5) % 4096,
-                    confidence=bits % 101,
-                )
-            )
-        return out
-
-    def _filter(self):
-        from repro.sim.single_core import make_prefetcher
-
-        ppf = make_prefetcher("ppf")
-        return ppf.engine_view()[1]
-
-    def test_production_index_batch_matches_feature_indices(self):
-        filt = self._filter()
-        contexts = self._contexts()
-        matrix = production_index_batch(
-            [c.candidate_addr for c in contexts],
-            [c.trigger_addr for c in contexts],
-            [c.pc for c in contexts],
-            [c.pcs[0] for c in contexts],
-            [c.pcs[1] for c in contexts],
-            [c.pcs[2] for c in contexts],
-            [c.delta for c in contexts],
-            [c.depth for c in contexts],
-            [c.signature for c in contexts],
-            [c.confidence for c in contexts],
-        )
-        for column, ctx in enumerate(contexts):
-            assert tuple(matrix[:, column].tolist()) == filt.feature_indices(ctx)
-
-    def test_decide_batch_matches_decide(self):
-        filt = self._filter()
-        contexts = self._contexts()
-        # Push some weights off zero so the codes actually spread.
-        for ctx in contexts[::3]:
-            filt.train(filt.feature_indices(ctx), positive=(ctx.depth % 2 == 0))
-        matrix = production_index_batch(
-            [c.candidate_addr for c in contexts],
-            [c.trigger_addr for c in contexts],
-            [c.pc for c in contexts],
-            [c.pcs[0] for c in contexts],
-            [c.pcs[1] for c in contexts],
-            [c.pcs[2] for c in contexts],
-            [c.delta for c in contexts],
-            [c.depth for c in contexts],
-            [c.signature for c in contexts],
-            [c.confidence for c in contexts],
-        )
-        codes, totals = filt.decide_batch(matrix)
-        for column, ctx in enumerate(contexts):
-            code, total, _ = filt.decide(ctx)
-            assert codes[column] == code, ctx
-            assert totals[column] == total, ctx
-            assert DECISION_BY_CODE[codes[column]] is DECISION_BY_CODE[code]
 
 
 @pytest.mark.skipif(

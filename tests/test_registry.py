@@ -13,7 +13,7 @@ from repro.core.features import production_features
 from repro.memory.replacement import make_policy
 from repro.prefetchers.base import Prefetcher
 from repro.registry import RegistryView, UnknownComponentError
-from repro.sim.single_core import PREFETCHER_FACTORIES, make_prefetcher
+from repro.sim.single_core import make_prefetcher
 from repro.workloads import find_workload, suite, suites
 
 
@@ -35,11 +35,11 @@ class TestCatalog:
         assert isinstance(registry.create("prefetcher", "spp"), Prefetcher)
 
     def test_factories_view_is_live_mapping(self):
-        # The legacy PREFETCHER_FACTORIES dict is now a live registry view.
-        assert "ppf" in PREFETCHER_FACTORIES
-        assert isinstance(PREFETCHER_FACTORIES, RegistryView)
-        assert set(PREFETCHER_FACTORIES) == set(registry.names("prefetcher"))
-        assert len(PREFETCHER_FACTORIES) == len(registry.names("prefetcher"))
+        view = registry.view("prefetcher")
+        assert "ppf" in view
+        assert isinstance(view, RegistryView)
+        assert set(view) == set(registry.names("prefetcher"))
+        assert len(view) == len(registry.names("prefetcher"))
 
     def test_register_and_unregister(self):
         @registry.register("prefetcher", "test-dummy")
@@ -47,11 +47,11 @@ class TestCatalog:
             return registry.create("prefetcher", "none")
 
         try:
-            assert "test-dummy" in PREFETCHER_FACTORIES
+            assert "test-dummy" in registry.names("prefetcher")
             assert isinstance(make_prefetcher("test-dummy"), Prefetcher)
         finally:
             registry.unregister("prefetcher", "test-dummy")
-        assert "test-dummy" not in PREFETCHER_FACTORIES
+        assert "test-dummy" not in registry.names("prefetcher")
 
 
 class TestErrorMessages:

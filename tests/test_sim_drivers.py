@@ -2,15 +2,12 @@
 
 import pytest
 
+from repro import registry
 from repro.prefetchers.spp import SPP
 from repro.sim.config import SimConfig
 from repro.sim.multi_core import run_multi_core
 from repro.sim.runner import ExperimentRunner
-from repro.sim.single_core import (
-    PREFETCHER_FACTORIES,
-    make_prefetcher,
-    run_single_core,
-)
+from repro.sim.single_core import make_prefetcher, run_single_core
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.spec2017 import workload_by_name
 
@@ -44,7 +41,7 @@ class TestSimConfig:
 class TestPrefetcherRegistry:
     def test_paper_schemes_registered(self):
         for name in ("none", "bop", "da-ampm", "spp", "ppf"):
-            assert name in PREFETCHER_FACTORIES
+            assert name in registry.names("prefetcher")
 
     def test_make_prefetcher(self):
         assert isinstance(make_prefetcher("spp"), SPP)

@@ -46,6 +46,7 @@ from repro.traces import (
     trace_workload,
     write_canonical,
 )
+from repro.traces.formats import RECORD_SIZE, record_dtype
 from repro.workloads import find_workload, suite, suites
 
 CONFIG = SimConfig.quick(measure_records=1_500, warmup_records=400)
@@ -205,6 +206,9 @@ class TestRoundTrips:
 
     def test_registry_lists_formats(self):
         assert {"k6", "champsim", "canonical"} <= set(trace_formats())
+
+    def test_record_size_matches_the_dtype(self):
+        assert RECORD_SIZE == record_dtype().itemsize == _RECORD.size == 20
 
 
 class TestDigestCache:
