@@ -122,11 +122,17 @@ class MemoryHierarchy:
         self.stats.attach("dram", self.dram.stats)
 
     def _queue_adapter(self, core: int) -> GroupAdapter:
+        # Close over the counter list, not ``self``: the hierarchy's own
+        # stats tree mounts this adapter, so a closure over ``self`` would
+        # make every finished machine a cycle only the collector frees.
+        # Every writer updates the list in place.
+        dropped = self.prefetches_dropped
+
         def snapshot():
-            return {"prefetches_dropped": self.prefetches_dropped[core]}
+            return {"prefetches_dropped": dropped[core]}
 
         def reset():
-            self.prefetches_dropped[core] = 0
+            dropped[core] = 0
 
         return GroupAdapter(snapshot, reset)
 

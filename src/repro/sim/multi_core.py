@@ -524,9 +524,12 @@ def run_multi_core(
     save_warmup = False
     if not restored and warmup_store is not None and sim.config.warmup_records > 0:
         digest = multi_core_warmup_digest(mix, prefetcher, sim.config, seed)
-        restored = _try_restore(sim, warmup_store.load(digest))
+        snapshot = warmup_store.load(digest)
+        restored = _try_restore(sim, snapshot)
         if not restored:
-            sim = MultiCoreSim(mix, prefetcher, config, seed)
+            if snapshot is not None:
+                # A failed load may have half-applied: start clean.
+                sim = MultiCoreSim(mix, prefetcher, config, seed)
             save_warmup = True
 
     if session is not None:

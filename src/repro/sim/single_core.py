@@ -477,9 +477,12 @@ def run_single_core(
     if not restored and scheme is not None and warmup_store is not None:
         if config.warmup_records > 0:
             digest = warmup_digest(workload.name, scheme, config, seed)
-            restored = _try_restore(sim, warmup_store.load(digest))
+            snapshot = warmup_store.load(digest)
+            restored = _try_restore(sim, snapshot)
             if not restored:
-                sim = SingleCoreSim(workload, scheme, config, seed)
+                if snapshot is not None:
+                    # A failed load may have half-applied: start clean.
+                    sim = SingleCoreSim(workload, scheme, config, seed)
                 save_warmup = True
 
     if session is not None:

@@ -22,6 +22,7 @@ arithmetic) so attaching probes cannot perturb a bit-identical run.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Dict, List, Optional
 
 from ..registry import names as registry_names
@@ -149,10 +150,17 @@ class ProbeSet:
         (never probe readings) so the golden-stats identity tests can
         strip the whole ``telemetry.`` scope and compare the rest
         key-for-key.
+
+        The adapter holds the set weakly: the set's probes read the very
+        machine whose stats tree mounts the adapter, so a strong reference
+        would close a cycle through it.  The sim and the session own the
+        set for as long as anything reads the tree.
         """
+        probe_set = weakref.ref(self)
 
         def snapshot():
-            return {"probe_samples": self.samples, "series": len(self.series)}
+            live = probe_set()
+            return {"probe_samples": live.samples, "series": len(live.series)}
 
         def reset():
             # Series are artifacts, not statistics: the warmup-boundary

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from array import array
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator, List, Sequence
 
 from ..checkpoint.state import decode_rng, encode_rng
 from ..cpu.trace import TraceRecord
@@ -122,22 +123,44 @@ class StridedPattern(AccessPattern):
         return addr
 
 
+def _shuffled_ring(base: int, n: int, seed: int) -> array:
+    """Blocks ``base .. base + n - 1`` in ``random.Random(seed).shuffle`` order.
+
+    The same in-place Fisher–Yates walk as ``shuffle``, with
+    ``Random._randbelow`` inlined draw for draw: a bound ``i + 1`` draws
+    ``getrandbits`` of its bit length until the draw is at most ``i``.
+    The walk goes one bit length at a time, so every bound in an inner
+    loop shares one width.  The ring is the one ``shuffle`` gives a list,
+    held as 8-byte machine ints instead of a list of int objects.
+    """
+    ring = array("q", range(base, base + n))
+    getrandbits = random.Random(seed).getrandbits
+    top = n - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        bottom = (1 << (k - 1)) - 1  # the lowest i whose bound i + 1 has k bits
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            ring[i], ring[j] = ring[j], ring[i]
+        top = bottom - 1
+    return ring
+
+
 class PointerChasePattern(AccessPattern):
     """A random permutation cycle over a working set (mcf-like).
 
     Each block "points to" the next; the walk order is random but fixed,
     so caches see reuse at working-set distance while delta-based
-    prefetchers see noise.
+    prefetchers see noise.  The ring is an ``array("q")`` of block
+    numbers, rebuilt from the constructor arguments on a restore.
     """
 
     def __init__(self, start_page: int, working_set_blocks: int, seed: int) -> None:
         if working_set_blocks < 2:
             raise ValueError("working set must hold at least two blocks")
-        rng = random.Random(seed)
-        base = start_page * BLOCKS_PER_PAGE
-        blocks = list(range(base, base + working_set_blocks))
-        rng.shuffle(blocks)
-        self._ring = blocks
+        self._ring = _shuffled_ring(start_page * BLOCKS_PER_PAGE, working_set_blocks, seed)
         self._position = 0
 
     def next_address(self, rng: random.Random) -> int:
@@ -312,8 +335,24 @@ class TraceStream:
         self.seed = seed
         self.rng = random.Random(seed)
         self.pc_counters = [0] * len(self.mixes)
-        self.emitted = 0
-        self._gen = self._generate()
+        # The record loop shares the emit count through this one-item list
+        # and never holds the stream: a loop over ``self`` would make the
+        # stream and its generator a reference cycle, keeping both (and
+        # every pointer-chase ring in them) alive until the cyclic
+        # collector's next pass instead of freeing them with their cell.
+        self._emitted = [0]
+        self._gen = self._generate(
+            self.mixes, n_records, self.rng, self.pc_counters, self._emitted
+        )
+
+    @property
+    def emitted(self) -> int:
+        """Records emitted so far (the checkpoint cursor)."""
+        return self._emitted[0]
+
+    @emitted.setter
+    def emitted(self, value: int) -> None:
+        self._emitted[0] = value
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return self._gen
@@ -321,9 +360,14 @@ class TraceStream:
     def __next__(self) -> TraceRecord:
         return next(self._gen)
 
-    def _generate(self) -> Iterator[TraceRecord]:
-        mixes = self.mixes
-        rng = self.rng
+    @staticmethod
+    def _generate(
+        mixes: List[PatternMix],
+        n_records: int,
+        rng: random.Random,
+        pc_counters: List[int],
+        emitted: List[int],
+    ) -> Iterator[TraceRecord]:
         # The pattern draw replicates ``rng.choices(...)[0]`` inline — one
         # bisect over precomputed cumulative weights, one ``random()`` call —
         # so the RNG stream (and every downstream golden stat) is unchanged
@@ -338,9 +382,8 @@ class TraceStream:
         # A span of 0 marks a zero-mean bubble, which must not consume rng.
         bubble_spans = [2 * mix.bubble_mean + 1 if mix.bubble_mean else 0 for mix in mixes]
         pc_bases = [_PC_BASE + 0x10000 * i for i in range(len(mixes))]
-        pc_counters = self.pc_counters
-        while self.emitted < self.n_records:
-            self.emitted += 1
+        while emitted[0] < n_records:
+            emitted[0] += 1
             which = bisect(cum_weights, random_draw() * total, 0, hi)
             addr = next_addresses[which](rng)
             pc_index = pc_counters[which] % pc_pools[which]

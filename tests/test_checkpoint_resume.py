@@ -23,9 +23,12 @@ import pytest
 from repro.checkpoint import SnapshotStore, load_snapshot
 from repro.checkpoint.replay import complete_single_core
 from repro.sim.config import SimConfig
+from repro.sim.multi_core import run_multi_core
 from repro.sim.single_core import SingleCoreSim, run_single_core
 from repro.sim.suite import SuiteRunner, _cell_digest
 from repro.workloads import find_workload
+from repro.workloads.mixes import WorkloadMix
+from repro.workloads.spec2017 import WorkloadSpec
 
 # The golden recording contract, pinned identically in
 # tests/test_golden_stats.py (duplicated: test modules are not
@@ -243,3 +246,43 @@ class TestWarmupStoreDirect:
         plain = run_single_core(workload, "ppf", GOLDEN_CONFIG, seed=SEED)
         assert cold == warm == plain
         assert store.hits == 1 and store.misses == 1
+
+    @staticmethod
+    def _count_trace_builds(monkeypatch):
+        calls = []
+        build = WorkloadSpec.trace
+
+        def counted(self, n_records, seed=1):
+            calls.append(self.name)
+            return build(self, n_records, seed)
+
+        monkeypatch.setattr(WorkloadSpec, "trace", counted)
+        return calls
+
+    def test_cold_store_builds_the_trace_once(self, tmp_path, monkeypatch):
+        workload = find_workload("605.mcf_s")
+        plain = run_single_core(workload, "ppf", GOLDEN_CONFIG, seed=SEED)
+        calls = self._count_trace_builds(monkeypatch)
+        cold = run_single_core(
+            workload, "ppf", GOLDEN_CONFIG, seed=SEED, warmup_store=SnapshotStore(tmp_path)
+        )
+        assert calls == ["605.mcf_s"]
+        assert cold == plain
+
+    def test_cold_store_builds_each_mix_trace_once(self, tmp_path, monkeypatch):
+        mix = WorkloadMix(
+            name="pair", workloads=(find_workload("605.mcf_s"), find_workload("603.bwaves_s"))
+        )
+        config = dataclasses.replace(
+            SimConfig.multicore(2), warmup_records=200, measure_records=800
+        )
+        calls = self._count_trace_builds(monkeypatch)
+        plain = run_multi_core(mix, "ppf", config, seed=SEED)
+        straight_builds = len(calls)
+        calls.clear()
+        cold = run_multi_core(
+            mix, "ppf", config, seed=SEED, warmup_store=SnapshotStore(tmp_path)
+        )
+        # One trace per core, plus one replay lap of the core that runs out.
+        assert len(calls) == straight_builds == 3
+        assert cold == plain

@@ -1,10 +1,14 @@
 """Tests for repro.workloads.synthetic pattern primitives."""
 
+import json
 import random
+import tracemalloc
+from itertools import islice
 
 import pytest
 
-from repro.memory.address import BLOCKS_PER_PAGE, page_number, page_offset_block
+from repro.memory.address import BLOCK_BITS, BLOCKS_PER_PAGE, page_number, page_offset_block
+from repro.workloads import find_workload
 from repro.workloads.synthetic import (
     HotsetPattern,
     PatternMix,
@@ -79,6 +83,51 @@ class TestPointerChase:
     def test_rejects_tiny_working_set(self):
         with pytest.raises(ValueError):
             PointerChasePattern(1, 1, seed=0)
+
+
+class TestPointerChaseRing:
+    """The ring is stored as an array and built without ``rng.shuffle``,
+    yet walks exactly the order ``shuffle`` gives a list."""
+
+    @pytest.mark.parametrize(
+        "blocks", [2, 3, 4, 5, 1 << 7, (1 << 7) + 1, 1 << 10, (1 << 10) + 1, 1 << 13, 1 << 17]
+    )
+    @pytest.mark.parametrize("seed", [0, 3, 1_000_011])
+    def test_walk_is_the_shuffled_list(self, blocks, seed):
+        base = 7 * BLOCKS_PER_PAGE
+        expected = list(range(base, base + blocks))
+        random.Random(seed).shuffle(expected)
+        pattern = PointerChasePattern(start_page=7, working_set_blocks=blocks, seed=seed)
+        assert take(pattern, blocks) == [block << BLOCK_BITS for block in expected]
+
+    def test_footprint_is_about_eight_bytes_per_block(self):
+        blocks = 1 << 15
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            PointerChasePattern(start_page=1, working_set_blocks=blocks, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # A list of int objects costs about 40 bytes per block.
+        assert peak - before <= 9 * blocks
+
+    def test_state_is_the_position_only(self):
+        pattern = PointerChasePattern(start_page=1, working_set_blocks=1 << 10, seed=3)
+        take(pattern, 1_500)
+        assert pattern.state_dict() == {"_position": 1_500 % (1 << 10)}
+
+    def test_mid_run_checkpoint_continues_bit_identically(self):
+        workload = find_workload("605.mcf_s")
+        straight = workload.trace(6_000, seed=5)
+        list(islice(straight, 2_500))
+        state = json.loads(json.dumps(straight.state_dict()))
+        resumed = workload.trace(6_000, seed=5)
+        resumed.load_state(state)
+        assert list(resumed) == list(straight)
 
 
 class TestPhaseDelta:
