@@ -7,8 +7,10 @@ checkpoints, sweeps) never sees which driver is running:
 
 * ``scalar`` — the original record-at-a-time loop.  Bit-identical with
   every previous release; the golden-stats oracle.
-* ``batched`` — pulls the trace in chunks and runs a fused per-record
-  kernel that inlines the hot core/cache/SPP/perceptron path.
+* ``batched`` — runs per-core runners in scheduling turns, a fused one
+  that inlines the hot core/cache/SPP/perceptron path for the
+  production configuration; a single-core sim is the one-core case of
+  the multi-core driver (:mod:`repro.engine.multi_core`).
   Event-order equivalent with scalar (see docs/performance.md,
   "Batched engine").
 
@@ -97,7 +99,7 @@ def make_engine(config) -> Engine:
     catalog in the message), which the CLI surfaces as a did-you-mean
     error.  Engines exposing a ``configure(config)`` hook receive the
     full :class:`~repro.sim.config.SimConfig` so they can read knobs
-    like ``engine_chunk``.
+    like ``engine_quantum``.
     """
     engine = registry.create("engine", getattr(config, "engine", "scalar"))
     configure = getattr(engine, "configure", None)

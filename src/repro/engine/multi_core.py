@@ -1,6 +1,11 @@
-"""Multi-core advances: the shared schedule and the cycle-quantum driver.
+"""The batched engine's drivers and per-core runners, for any core count.
 
-Both engines' ``advance_multi`` implementations live here, built on one
+One fused PPF runner, one generic runner and one ``core.step`` fallback
+serve every batched advance.  A single-core sim is the one-core case
+(:func:`batched_advance`): with no runner-up on the heap every turn is
+unbounded, so there is no quantum bound and no run-ahead stash, and the
+runner steps exactly the records it is given.  Both engines'
+``advance_multi`` implementations live here too, built on one
 scheduling fact.  The scalar multi-core loop picks, before every record,
 the core with the minimum ``(cycle, core_index)`` key (``min`` over core
 cycles with lowest-index tie break).  Between two consecutive picks only
@@ -40,9 +45,9 @@ samples land on scalar-identical global record counts.
   bit-identity oracle, just without rescanning every core per access.
 * :func:`batched_advance_multi` — the cycle-quantum batched driver.  The
   same heap hands out quanta; within a quantum the picked core runs a
-  per-core *runner*: the fused PPF kernel of :mod:`repro.engine.batched`
-  re-expressed as a suspended generator over the core's private L1/L2
-  path (or the generic inlined-core loop, or plain ``core.step``).
+  per-core *runner*: the fused PPF kernel as a suspended generator over
+  the core's private L1/L2 path (or the generic inlined-core loop, or
+  plain ``core.step``).
 
 Why generators: under contention the schedule switches cores every few
 records (mean segment lengths of ~2-4 records are typical for 4-core
@@ -73,7 +78,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from ..core.filter import PerceptronFilter
 from ..core.ppf import PPF
@@ -92,6 +97,33 @@ from ..workloads.synthetic import _PC_BASE, _PC_STRIDE, HotsetPattern, TraceStre
 #: a single comparison.
 _NO_BOUND = float("inf")
 
+#: Most records the generic runner pulls in one burst on an unbounded
+#: turn (any ``engine_quantum``, 0 included).
+_BURST = 4_096
+
+#: The shared LLC and DRAM counters the fused runners update through the
+#: driver's hoist list (module docstring, shared-state rule), in list
+#: order: ``sh[0]`` is the LLC's ``demand_accesses``, ``sh[8]`` DRAM's
+#: ``accesses``.
+_LLC_SHARED = (
+    "demand_accesses",
+    "demand_hits",
+    "demand_misses",
+    "fills",
+    "prefetch_fills",
+    "evictions",
+    "useful_prefetches",
+    "useless_prefetch_evictions",
+)
+_DRAM_SHARED = (
+    "accesses",
+    "demand_accesses",
+    "prefetch_accesses",
+    "row_hits",
+    "row_misses",
+    "total_queue_delay",
+)
+
 #: ``SPP.encode_delta`` precomputed for every reachable delta.  Block
 #: offsets live in ``[0, 64)``, so every signature delta is in
 #: ``[-63, 63]`` — index the table with the delta itself (negative
@@ -99,7 +131,7 @@ _NO_BOUND = float("inf")
 _ENC_TAB = list(range(64)) + [0] + [64 | d for d in range(63, 0, -1)]
 
 
-# -- eligibility (shared with the single-core fused kernel) ---------------------
+# -- eligibility ----------------------------------------------------------------
 
 
 def _hier_eligible(hier) -> bool:
@@ -116,9 +148,9 @@ def _hier_eligible(hier) -> bool:
 def _ppf_core_eligible(hier, core, pf) -> bool:
     """Per-core preconditions of the fused kernel.
 
-    Exact-type checks on purpose (same policy as the single-core path):
-    a subclass overriding any hook would silently diverge from the
-    inlined logic, so anything non-stock takes the generic runner.
+    Exact-type checks on purpose: a subclass overriding any hook would
+    silently diverge from the inlined logic, so anything non-stock takes
+    the generic runner.
     """
     if type(core) is not O3Core or core.hierarchy is not hier:
         return False
@@ -144,11 +176,10 @@ def _ppf_core_eligible(hier, core, pf) -> bool:
     return True
 
 
-def _core_mode(sim, i: int) -> str:
-    core = sim.o3cores[i]
+def _core_mode(core, hier, i: int) -> str:
+    """The runner core ``i`` takes: ``"ppf"``, ``"generic"`` or ``"step"``."""
     if type(core) is not O3Core:
         return "step"
-    hier = sim.hierarchy
     if core.core_id != i or not _hier_eligible(hier):
         return "generic"
     if _ppf_core_eligible(hier, core, hier.prefetchers[i]):
@@ -250,33 +281,14 @@ def batched_advance_multi(sim, n_records: int, quantum: int) -> int:
     #: Telemetry pins the exact schedule (no run-ahead): probe samples
     #: then land on scalar-identical global record counts.
     exact = sim._telemetry is not None
-    modes = [_core_mode(sim, i) for i in range(cores)]
+    hier = sim.hierarchy
+    modes = [_core_mode(o3cores[i], hier, i) for i in range(cores)]
     shared = None
     if "ppf" in modes:
         if all(mode == "ppf" for mode in modes):
-            # Hoist the shared LLC/DRAM counters into one list aliased
-            # by every fused runner (module docstring, shared-state
-            # rule); written back in the finally below.  Captures only
-            # read the core<i> stats subtree, so no mid-advance flush.
-            hier = sim.hierarchy
-            ll_stats = hier.llc.engine_view()[2]
-            dstats = hier.dram.stats
-            shared = [
-                ll_stats.demand_accesses,
-                ll_stats.demand_hits,
-                ll_stats.demand_misses,
-                ll_stats.fills,
-                ll_stats.prefetch_fills,
-                ll_stats.evictions,
-                ll_stats.useful_prefetches,
-                ll_stats.useless_prefetch_evictions,
-                dstats.accesses,
-                dstats.demand_accesses,
-                dstats.prefetch_accesses,
-                dstats.row_hits,
-                dstats.row_misses,
-                dstats.total_queue_delay,
-            ]
+            # Captures only read the core<i> stats subtree, so the
+            # hoisted shared counters need no mid-advance flush.
+            shared = _hoist_shared(hier)
         else:
             # Mixed modes: generic/step cores mutate the live shared
             # stats objects directly, so the hoisted-list writeback
@@ -322,13 +334,9 @@ def batched_advance_multi(sim, n_records: int, quantum: int) -> int:
                     budget = remaining
             runner = runners[i]
             if runner is None:
-                mode = modes[i]
-                if mode == "ppf":
-                    runner = _ppf_runner(sim, i, shared, exact)
-                else:
-                    runner = _RUNNERS[mode](sim, i)
-                next(runner)  # prime: hoist locals, park at the first yield
-                runners[i] = runner
+                runner = runners[i] = _start_runner(
+                    modes[i], o3cores[i], sim.traces[i], shared, exact
+                )
             new_cycle, seg, stash = runner.send((stop_at, budget))
             if stash != stashed[i]:
                 stashed[i] = stash
@@ -352,24 +360,94 @@ def batched_advance_multi(sim, n_records: int, quantum: int) -> int:
             if runner is not None:
                 runner.close()
         if shared is not None:
-            (
-                ll_stats.demand_accesses,
-                ll_stats.demand_hits,
-                ll_stats.demand_misses,
-                ll_stats.fills,
-                ll_stats.prefetch_fills,
-                ll_stats.evictions,
-                ll_stats.useful_prefetches,
-                ll_stats.useless_prefetch_evictions,
-                dstats.accesses,
-                dstats.demand_accesses,
-                dstats.prefetch_accesses,
-                dstats.row_hits,
-                dstats.row_misses,
-                dstats.total_queue_delay,
-            ) = shared
+            _write_shared(hier, shared)
     sim.consumed += taken_total
     return taken_total
+
+
+def _hoist_shared(hier) -> list:
+    """The shared LLC/DRAM counters as the one list every fused runner
+    aliases (module docstring, shared-state rule)."""
+    ll_stats = hier.llc.engine_view()[2]
+    dstats = hier.dram.stats
+    return [getattr(ll_stats, name) for name in _LLC_SHARED] + [
+        getattr(dstats, name) for name in _DRAM_SHARED
+    ]
+
+
+def _write_shared(hier, shared: list) -> None:
+    """Write :func:`_hoist_shared`'s list back to the live stats objects."""
+    ll_stats = hier.llc.engine_view()[2]
+    for name, value in zip(_LLC_SHARED, shared):
+        setattr(ll_stats, name, value)
+    dstats = hier.dram.stats
+    for name, value in zip(_DRAM_SHARED, shared[len(_LLC_SHARED):]):
+        setattr(dstats, name, value)
+
+
+# -- single-core advance: the one-core case -------------------------------------
+
+
+class _OneCoreTrace:
+    """A single-core sim's trace, seen through a mix trace's fields.
+
+    The runners read ``_stream``, ``_it``, ``_offset`` and ``_pending``
+    off a mix's :class:`~repro.sim.multi_core._EndlessTrace`.  A
+    single-core trace is not relocated and never parks a record (a
+    one-core turn has no bound to stop at), and it never laps:
+    ``_workload`` is ``None``, so the end of the stream ends the turn.
+    """
+
+    _workload = None
+    _chunk = 0
+    _offset = 0
+
+    def __init__(self, stream) -> None:
+        self._stream = stream
+        self._it = iter(stream)
+        self._pending = None
+
+    def __iter__(self) -> "_OneCoreTrace":
+        return self
+
+    def __next__(self):
+        return next(self._it)
+
+
+def batched_advance(sim, n_records: int, quantum: int) -> int:
+    """Step a single-core sim through one-core turns of the runners.
+
+    With one core there is no runner-up, so every turn runs unbounded
+    (``stop_at`` is ``_NO_BOUND``): the runner steps exactly ``budget``
+    records, or fewer where the trace ends, and never stashes one.
+    ``quantum`` (``SimConfig.engine_quantum``, 0 = uncapped) caps each
+    turn as it does in a mix.  The runner is closed, flushing every
+    hoisted counter, before the call returns (contract point 2).
+    """
+    if n_records <= 0:
+        return 0
+    core = sim.core
+    hier = sim.hierarchy
+    mode = _core_mode(core, hier, 0)
+    shared = _hoist_shared(hier) if mode == "ppf" else None
+    runner = _start_runner(mode, core, _OneCoreTrace(sim.trace), shared, False)
+    cap = quantum if quantum > 0 else n_records
+    taken = 0
+    try:
+        while taken < n_records:
+            budget = n_records - taken
+            if budget > cap:
+                budget = cap
+            seg = runner.send((_NO_BOUND, budget))[1]
+            taken += seg
+            if seg < budget:
+                break  # the trace has ended
+    finally:
+        runner.close()
+        if shared is not None:
+            _write_shared(hier, shared)
+    sim.consumed += taken
+    return taken
 
 
 # -- per-core runners -----------------------------------------------------------
@@ -382,36 +460,51 @@ def batched_advance_multi(sim, n_records: int, quantum: int) -> int:
 # then yields ``(cycle, stepped, stashed)`` — ``stashed`` flags a pulled
 # record suspended before processing (its key is the yielded cycle).
 # ``close()`` runs the ``finally`` writeback and parks any stash in the
-# trace's pending slot.  Records are otherwise pulled one at a time
-# straight off the underlying trace iterator (no read-ahead), so the
-# trace stream's checkpoint cursor is exact whenever the driver returns.
+# trace's pending slot.  A mix's trace laps forever; a single-core
+# trace ends, and its end ends the turn early (``stepped < budget``).
+# On a bounded turn records are pulled one at a time straight off the
+# underlying trace iterator (no read-ahead); an unbounded turn steps
+# every record it pulls, so the generic runner takes those in bursts.
+# Either way the trace stream's checkpoint cursor is exact whenever the
+# driver returns.
 
 
-def _step_runner(sim, i: int):
+def _start_runner(mode: str, core, trace, shared, exact: bool):
+    """Build the runner for ``mode`` and prime it (hoist its locals and
+    park it at the first yield)."""
+    if mode == "ppf":
+        runner = _ppf_runner(core, trace, shared, exact)
+    elif mode == "generic":
+        runner = _generic_runner(core, trace)
+    else:
+        runner = _step_runner(core, trace)
+    next(runner)
+    return runner
+
+
+def _step_runner(core, trace):
     """Fallback for foreign core types: defer to the core's own step()."""
-    core = sim.o3cores[i]
-    trace = sim.traces[i]
     step = core.step
     stop_at, budget = yield
     while True:
         seg = 0
         while seg < budget and core.cycle < stop_at:
-            step(next(trace))
+            rec = next(trace, None)
+            if rec is None:
+                break  # a single-core trace has ended
+            step(rec)
             seg += 1
         stop_at, budget = yield (core.cycle, seg, False)
 
 
-def _generic_runner(sim, i: int):
+def _generic_runner(core, trace):
     """Inlined O3Core bookkeeping around the real ``hierarchy.access``.
 
-    The multi-core twin of the batched engine's generic chunk loop:
-    every memory-side event goes through the exact scalar code, so this
+    Every memory-side event goes through the exact scalar code, so this
     path is bit-identical for any hierarchy/prefetcher combination.  No
     run-ahead here — a custom hierarchy may touch shared state on any
     access, so every record stays inside its quantum.
     """
-    core = sim.o3cores[i]
-    trace = sim.traces[i]
     workload = trace._workload
     lap_chunk = trace._chunk
     reloc = trace._offset
@@ -443,44 +536,56 @@ def _generic_runner(sim, i: int):
             while seg < budget and cycle < stop_at:
                 # ---- _EndlessTrace.__next__, sans record rebuild ------------
                 if pending is not None:
-                    rec = pending
+                    batch = (pending,)
                     pending = None
+                elif stop_at == _NO_BOUND:
+                    # An unbounded turn steps every record it pulls, so
+                    # it pulls a burst: records produced back to back
+                    # cost less than records produced between accesses
+                    # (docs/performance.md, "Hot-path invariants").
+                    want = budget - seg
+                    if want > _BURST:
+                        want = _BURST
+                    batch = list(islice(it, want))
                 else:
-                    try:
-                        rec = next(it)
-                    except StopIteration:
-                        trace.lap_seed += 1
-                        trace._stream = workload.trace(lap_chunk, seed=trace.lap_seed)
-                        it = trace._it = iter(trace._stream)
-                        rec = next(it)
-                bubble = rec.bubble
-                retire = retire_frac + bubble
-                cycle += retire // width
-                retire_frac = retire % width
-                seq += 1
-                while outstanding and outstanding[0][0] <= cycle:
-                    popleft()
-                rob_horizon = seq - rob_size
-                while outstanding and outstanding[0][1] <= rob_horizon:
-                    rob_stalls += 1
-                    completion = popleft()[0]
-                    if completion > cycle:
-                        cycle = completion
+                    rec = next(it, None)
+                    batch = () if rec is None else (rec,)
+                if not batch:
+                    if workload is None:
+                        break  # a single-core trace has ended
+                    trace.lap_seed += 1
+                    trace._stream = workload.trace(lap_chunk, seed=trace.lap_seed)
+                    it = trace._it = iter(trace._stream)
+                    continue
+                for rec in batch:
+                    bubble = rec.bubble
+                    retire = retire_frac + bubble
+                    cycle += retire // width
+                    retire_frac = retire % width
+                    seq += 1
                     while outstanding and outstanding[0][0] <= cycle:
                         popleft()
-                while len(outstanding) >= mlp_limit:
-                    mlp_stalls += 1
-                    completion = popleft()[0]
-                    if completion > cycle:
-                        cycle = completion
-                    while outstanding and outstanding[0][0] <= cycle:
-                        popleft()
-                loads += 1
-                ready = access(core_id, rec.pc, rec.addr + reloc, cycle).ready_cycle
-                if ready > cycle:
-                    push((ready, seq))
-                instructions += bubble + 1
-                seg += 1
+                    rob_horizon = seq - rob_size
+                    while outstanding and outstanding[0][1] <= rob_horizon:
+                        rob_stalls += 1
+                        completion = popleft()[0]
+                        if completion > cycle:
+                            cycle = completion
+                        while outstanding and outstanding[0][0] <= cycle:
+                            popleft()
+                    while len(outstanding) >= mlp_limit:
+                        mlp_stalls += 1
+                        completion = popleft()[0]
+                        if completion > cycle:
+                            cycle = completion
+                        while outstanding and outstanding[0][0] <= cycle:
+                            popleft()
+                    loads += 1
+                    ready = access(core_id, rec.pc, rec.addr + reloc, cycle).ready_cycle
+                    if ready > cycle:
+                        push((ready, seq))
+                    instructions += bubble + 1
+                seg += len(batch)
             stop_at, budget = yield (cycle, seg, False)
     finally:
         if pending is not None:
@@ -494,21 +599,32 @@ def _generic_runner(sim, i: int):
         stats.mlp_stalls = mlp_stalls
 
 
-def _ppf_runner(sim, i: int, sh: list, exact: bool):  # noqa: C901
-    """The fused PPF fast path for core ``i`` as a suspended generator.
+def _ppf_runner(core, trace, sh: list, exact: bool):  # noqa: C901
+    """The fused PPF fast path for one core as a suspended generator.
 
-    Body and event order are the single-core ``_ppf_kernel``'s, record
-    for record, with four deliberate differences:
+    Replays, record for record and event for event, what the scalar
+    engine does for the production configuration (PPF over SPP with the
+    stock flags, LRU everywhere, the production feature catalog):
 
-    * everything core-private indexes ``i`` (L1/L2 views, prefetcher
-      state, inflight queue, drop counter);
+      core front-end -> L1 lookup -> (L2 -> LLC -> DRAM demand path with
+      inline fills/evictions) -> PPF demand feedback -> SPP signature/
+      pattern update -> fused lookahead+decide with table inserts and
+      displacement training -> prefetch issue at the L2-demand cycle ->
+      L1 fill -> core tail.
+
+    Every core-private counter lives in a local until ``close()``;
+    mutable containers (cache sets, LRU orders, SPP tables, weight
+    lists, decision-table slots) are shared in place.  Beyond that:
+
+    * everything core-private indexes ``i``, the core's id (L1/L2
+      views, prefetcher state, inflight queue, drop counter);
     * shared LLC/DRAM *counters* go through ``sh``, the driver-owned
       hoist list every fused runner aliases (see the module's
       shared-state rule) — the shared containers themselves are aliased
       live, every mutation is in place;
     * records are produced one at a time (for the synthetic
       ``TraceStream``, inline — see the trace-production hoist below —
-      otherwise pulled from the endless iterator; inline lap rollover,
+      otherwise pulled from the trace's iterator; inline lap rollover,
       inline relocation) and addresses decomposed with shifts — no
       chunk buffer, so the trace cursor is exact at every suspend point
       (modulo one stashed record, flagged to the driver);
@@ -517,8 +633,7 @@ def _ppf_runner(sim, i: int, sh: list, exact: bool):  # noqa: C901
       L1 hits can run ahead of the quantum bound and only a missing
       record at the bound suspends, parked in ``stash``.
     """
-    core = sim.o3cores[i]
-    trace = sim.traces[i]
+    i = core.core_id
     workload = trace._workload
     lap_chunk = trace._chunk
     reloc = trace._offset
@@ -605,7 +720,7 @@ def _ppf_runner(sim, i: int, sh: list, exact: bool):  # noqa: C901
     seq = core._seq
 
     # -- hierarchy / caches ---------------------------------------------------
-    hier = sim.hierarchy
+    hier = core.hierarchy
     hcfg = hier.config
     max_pft = hcfg.max_prefetches_per_trigger
     queue_size = hcfg.prefetch_queue_size
@@ -887,6 +1002,8 @@ def _ppf_runner(sim, i: int, sh: list, exact: bool):  # noqa: C901
                     if fast_trace:
                         # ---- TraceStream._generate, inline ------------------
                         if emitted >= lap_records:
+                            if workload is None:
+                                break  # a single-core trace has ended
                             trace.lap_seed += 1
                             stream = workload.trace(lap_chunk, seed=trace.lap_seed)
                             trace._stream = stream
@@ -953,6 +1070,8 @@ def _ppf_runner(sim, i: int, sh: list, exact: bool):  # noqa: C901
                         try:
                             rec = next(it)
                         except StopIteration:
+                            if workload is None:
+                                break  # a single-core trace has ended
                             trace.lap_seed += 1
                             trace._stream = workload.trace(lap_chunk, seed=trace.lap_seed)
                             it = trace._it = iter(trace._stream)
@@ -1628,5 +1747,3 @@ def _ppf_runner(sim, i: int, sh: list, exact: bool):  # noqa: C901
         sstats.useful = s_useful
         sstats.useless_evictions = s_useless
 
-
-_RUNNERS = {"generic": _generic_runner, "step": _step_runner}

@@ -21,17 +21,13 @@ class SimConfig:
     measure_records: int = 100_000
     #: Simulation engine driving the access loop ("scalar" or "batched",
     #: resolved through the registry).  The scalar engine is the
-    #: golden-stats oracle; the batched engine chunks the trace and runs
-    #: a fused per-record kernel (see docs/performance.md).
+    #: golden-stats oracle; the batched engine runs fused per-core
+    #: runners in scheduling turns (see docs/performance.md).
     engine: str = "scalar"
-    #: Records per chunk pulled by the batched engine.  Irrelevant to
-    #: results (the engines are event-order equivalent) — only a
-    #: throughput/telemetry-granularity knob.
-    engine_chunk: int = 4_096
     #: Cap on the records one core may run inside a single scheduling
-    #: turn of the batched multi-core advance (0 = uncapped).  The cycle
-    #: bound that preserves the shared-resource interleaving is computed
-    #: per turn regardless, so — like ``engine_chunk`` — this is a pure
+    #: turn of the batched engine (0 = uncapped), one core or several.
+    #: The cycle bound that preserves the shared-resource interleaving
+    #: is computed per turn regardless, so this is a pure
     #: throughput/latency knob that cannot perturb results: a core cut
     #: short by the cap is still the schedule's minimum and is re-picked
     #: on the next turn.

@@ -53,6 +53,66 @@ from .formats import RECORD_SIZE, record_dtype
 DEFAULT_STREAM_CHUNK = 8_192
 
 
+class _FileCursor:
+    """The read side of a :class:`TraceFileStream`: its emit cursor, the
+    decoded column buffer and the open file handle.
+
+    The record generator holds this object and never the stream: a
+    generator over the stream itself would make the two a reference
+    cycle, keeping the buffers and the open handle alive until the
+    cyclic collector's next pass instead of freeing them with their
+    cell.  The handle closes when the cursor is freed.
+    """
+
+    __slots__ = ("path", "file_records", "chunk", "emitted", "handle", "buffer", "buffer_start")
+
+    def __init__(self, path: Path, file_records: int, chunk: int) -> None:
+        self.path = path
+        self.file_records = file_records
+        self.chunk = chunk
+        self.emitted = 0
+        self.handle = None
+        # Buffered columns covering file records
+        # [buffer_start, buffer_start + len) — invalidated by
+        # ``TraceFileStream.load_state`` so the generator refetches at
+        # the new cursor.
+        self.buffer: Optional[tuple] = None
+        self.buffer_start = 0
+
+    def fill(self, position: int) -> None:
+        """Decode one column chunk starting at file record ``position``."""
+        import numpy as np
+
+        if self.handle is None:
+            self.handle = open(self.path, "rb")
+        count = min(self.chunk, self.file_records - position)
+        self.handle.seek(HEADER_SIZE + position * RECORD_SIZE)
+        blob = self.handle.read(count * RECORD_SIZE)
+        if len(blob) != count * RECORD_SIZE:
+            raise TraceFormatError(
+                f"short read at record {position}: file changed underneath "
+                "the stream",
+                path=self.path,
+            )
+        arr = np.frombuffer(blob, dtype=record_dtype())
+        # .tolist() once per chunk: native ints beat per-record np
+        # scalar unboxing in the record loop.
+        self.buffer = (
+            arr["pc"].astype(np.int64).tolist(),
+            arr["addr"].astype(np.int64).tolist(),
+            arr["bubble"].astype(np.int64).tolist(),
+        )
+        self.buffer_start = position
+
+    def close(self) -> None:
+        if self.handle is not None:
+            self.handle.close()
+            self.handle = None
+
+    def __del__(self) -> None:
+        self.close()
+
+
 class TraceFileStream:
     """A deterministic, checkpointable stream over a canonical trace."""
 
@@ -76,15 +136,13 @@ class TraceFileStream:
         if self.file_records == 0 and n_records > 0:
             raise TraceFormatError("empty trace: no records", path=self.path)
         self.digest = digest if digest is not None else file_digest(self.path)
-        #: Records emitted so far (the checkpoint cursor).
-        self.emitted = 0
-        self._handle = None
-        # Buffered columns covering file records
-        # [_buffer_start, _buffer_start + len) — invalidated by
-        # ``load_state`` so the generator refetches at the new cursor.
-        self._buffer: Optional[tuple] = None
-        self._buffer_start = 0
-        self._gen = self._generate()
+        self._cursor = _FileCursor(self.path, self.file_records, chunk)
+        self._gen = self._generate(self._cursor, n_records)
+
+    @property
+    def emitted(self) -> int:
+        """Records emitted so far (the checkpoint cursor)."""
+        return self._cursor.emitted
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return self._gen
@@ -92,42 +150,19 @@ class TraceFileStream:
     def __next__(self) -> TraceRecord:
         return next(self._gen)
 
-    def _fill(self, position: int) -> None:
-        """Decode one column chunk starting at file record ``position``."""
-        import numpy as np
-
-        if self._handle is None:
-            self._handle = open(self.path, "rb")
-        count = min(self.chunk, self.file_records - position)
-        self._handle.seek(HEADER_SIZE + position * RECORD_SIZE)
-        blob = self._handle.read(count * RECORD_SIZE)
-        if len(blob) != count * RECORD_SIZE:
-            raise TraceFormatError(
-                f"short read at record {position}: file changed underneath "
-                "the stream",
-                path=self.path,
-            )
-        arr = np.frombuffer(blob, dtype=record_dtype())
-        # .tolist() once per chunk: native ints beat per-record np
-        # scalar unboxing in the record loop.
-        self._buffer = (
-            arr["pc"].astype(np.int64).tolist(),
-            arr["addr"].astype(np.int64).tolist(),
-            arr["bubble"].astype(np.int64).tolist(),
-        )
-        self._buffer_start = position
-
-    def _generate(self) -> Iterator[TraceRecord]:
-        while self.emitted < self.n_records:
-            position = self.emitted % self.file_records
-            buffer = self._buffer
+    @staticmethod
+    def _generate(cursor: _FileCursor, n_records: int) -> Iterator[TraceRecord]:
+        file_records = cursor.file_records
+        while cursor.emitted < n_records:
+            position = cursor.emitted % file_records
+            buffer = cursor.buffer
             if buffer is None or not (
-                self._buffer_start <= position < self._buffer_start + len(buffer[0])
+                cursor.buffer_start <= position < cursor.buffer_start + len(buffer[0])
             ):
-                self._fill(position)
-                buffer = self._buffer
-            index = position - self._buffer_start
-            self.emitted += 1
+                cursor.fill(position)
+                buffer = cursor.buffer
+            index = position - cursor.buffer_start
+            cursor.emitted += 1
             yield TraceRecord(buffer[0][index], buffer[1][index], buffer[2][index])
 
     # -- checkpoint protocol ---------------------------------------------------
@@ -150,19 +185,11 @@ class TraceFileStream:
                 f"trace state holds {state.get('file_records')} file records, "
                 f"file has {self.file_records}"
             )
-        self.emitted = int(state["emitted"])
-        self._buffer = None  # live generator refetches at the new cursor
+        self._cursor.emitted = int(state["emitted"])
+        self._cursor.buffer = None  # live generator refetches at the new cursor
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __del__(self) -> None:  # best-effort; close() is the real API
-        try:
-            self.close()
-        except Exception:
-            pass
+        self._cursor.close()
 
 
 def _open_trace_stream(

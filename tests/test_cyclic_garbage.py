@@ -13,7 +13,8 @@ generator is broken by the generator's finalizer, and objects freed
 that way are not in ``gc.collect()``'s count (before Python 3.12 not
 even for a generator that never started).  A trace stream in a cycle
 with its own record generator is such a case, and it holds the cell's
-pointer-chase rings.
+pointer-chase rings — or, for a file-backed trace, its decoded column
+buffers and its open file.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ from repro.checkpoint import SnapshotStore
 from repro.sim.multi_core import run_multi_core
 from repro.sim.single_core import run_single_core
 from repro.telemetry import Telemetry
+from repro.traces import stream as trace_stream
 from repro.workloads import find_workload
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.spec2017 import WorkloadSpec
@@ -98,6 +100,29 @@ def test_two_core_mix(leftovers, scheme, engine):
         run_multi_core(MIX, scheme, config, seed=1, telemetry=None)
 
     assert leftovers(run) == NOTHING_LEFT
+
+
+@pytest.mark.parametrize("engine", ["scalar", "batched"])
+def test_trace_file_cell(leftovers, engine, converted_trace, monkeypatch):
+    """A converted ``.rpt`` cell frees its stream, and closes the file
+    the stream read, by the time the cell returns."""
+    workload = converted_trace(WARMUP + MEASURE)
+    handles = []
+
+    def tracked_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        handles.append(handle)
+        return handle
+
+    monkeypatch.setattr(trace_stream, "open", tracked_open, raising=False)
+    config = _config(engine)
+
+    def run():
+        run_single_core(workload, "ppf", config, seed=1, telemetry=None)
+
+    assert leftovers(run) == NOTHING_LEFT
+    assert handles, "the cell never opened its trace file"
+    assert all(handle.closed for handle in handles)
 
 
 def test_telemetry_on(leftovers):

@@ -12,8 +12,10 @@ stats snapshot must match to the last unit (see docs/performance.md,
 * checkpoints cross engines: a snapshot taken under one engine restores
   under the other and finishes bit-identical with a straight run, in
   both directions;
-* the engine chunk size and telemetry instrumentation are pure
-  throughput/observability knobs — neither may perturb results.
+* the engine quantum and telemetry instrumentation are pure
+  throughput/observability knobs — neither may perturb results;
+* ``advance(sim, n)`` steps exactly ``n`` records under either engine
+  (contract point 1 of ``repro.engine.base``).
 
 The final test is the performance gate: ``end_to_end_single_core``
 under the batched engine must beat the committed pre-PR baseline by at
@@ -30,7 +32,9 @@ import pytest
 
 from repro.bench.micro import BENCHMARKS, run_benchmarks
 from repro.bench.report import default_baseline_path, load_baseline
-from repro.engine.batched import BatchedEngine, _select_mode
+from repro.cpu.o3core import O3Core
+from repro.engine.batched import BatchedEngine
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.config import SimConfig
 from repro.sim.single_core import SingleCoreSim, run_single_core
 from repro.telemetry import Telemetry, activate
@@ -97,15 +101,32 @@ class TestGoldenCellsUnderBothEngines:
             f"{cell} under {engine}: {len(mismatched)} stat(s) diverged: {mismatched}"
         )
 
-    def test_ppf_cell_uses_the_fused_kernel(self):
+    def test_ppf_cell_uses_the_fused_kernel(self, monkeypatch):
         """Guard against the fused path silently falling back to generic
         (the golden comparison would still pass, but the 3× gate is won
-        by the fused kernel — losing it is a performance regression)."""
-        sim = SingleCoreSim(find_workload("605.mcf_s"), "ppf", _config("batched"), seed=SEED)
+        by the fused kernel — losing it is a performance regression).
+
+        The fused runner inlines the whole hierarchy, so a ``ppf`` cell
+        that stays on it never calls ``MemoryHierarchy.access``; the
+        generic runner calls it once per record."""
+        calls = []
+        access = MemoryHierarchy.access
+
+        def counted(self, *args):
+            calls.append(1)
+            return access(self, *args)
+
+        monkeypatch.setattr(MemoryHierarchy, "access", counted)
+        workload = find_workload("605.mcf_s")
+        sim = SingleCoreSim(workload, "ppf", _config("batched"), seed=SEED)
         assert isinstance(sim._engine, BatchedEngine)
-        assert _select_mode(sim) == "ppf"
-        spp_sim = SingleCoreSim(find_workload("605.mcf_s"), "spp", _config("batched"), seed=SEED)
-        assert _select_mode(spp_sim) == "generic"
+        sim.warmup()
+        sim.begin_measurement()
+        sim.measure()
+        assert sim.consumed == WARMUP_RECORDS + MEASURE_RECORDS
+        assert not calls, f"ppf cell left the fused runner: {len(calls)} access calls"
+        run_single_core(workload, "spp", _config("batched"), seed=SEED)
+        assert len(calls) == WARMUP_RECORDS + MEASURE_RECORDS
 
 
 class TestCrossEngineCheckpoints:
@@ -135,8 +156,8 @@ class TestCrossEngineCheckpoints:
         )
 
     def test_mid_measure_snapshot_crosses_engines(self):
-        """Chunk-interior boundaries too: a batched sim snapshotted after
-        an odd number of measured records resumes scalar, and vice versa
+        """Odd boundaries too: a batched sim snapshotted after an odd
+        number of measured records resumes scalar, and vice versa
         back — two hops, still bit-identical."""
         workload = find_workload("605.mcf_s")
         reference = run_single_core(workload, "ppf", _config("scalar"), seed=SEED)
@@ -155,17 +176,17 @@ class TestCrossEngineCheckpoints:
 
 
 class TestKnobsDoNotPerturbResults:
-    def test_engine_chunk_is_a_pure_throughput_knob(self):
+    def test_engine_quantum_is_a_throughput_knob(self):
         workload = find_workload("623.xalancbmk_s")
-        reference = run_single_core(workload, "ppf", _config("batched"), seed=SEED)
-        for chunk in (1, 63, 500):
+        reference = run_single_core(workload, "ppf", _config("scalar"), seed=SEED)
+        for quantum in (0, 1, 7, 256, 4096):
             result = run_single_core(
-                workload, "ppf", _config("batched", engine_chunk=chunk), seed=SEED
+                workload, "ppf", _config("batched", engine_quantum=quantum), seed=SEED
             )
-            _assert_results_identical(result, reference, f"engine_chunk={chunk}")
+            _assert_results_identical(result, reference, f"engine_quantum={quantum}")
 
     def test_probe_sampling_shim_is_read_only(self):
-        """Instrumented batched runs sample probes at chunk boundaries;
+        """Instrumented batched runs sample probes between advances;
         every non-telemetry stat must match the uninstrumented run."""
         workload = find_workload("605.mcf_s")
         plain = run_single_core(workload, "ppf", _config("batched"), seed=SEED)
@@ -181,6 +202,43 @@ class TestKnobsDoNotPerturbResults:
             if plain.stats.get(stat) != probed.stats.get(stat)
         }
         assert not mismatched, mismatched
+
+
+class _SteppedCore(O3Core):
+    """Any core type but ``O3Core`` itself takes the ``core.step`` runner."""
+
+
+class TestAdvanceStepsExactly:
+    """Contract point 1 for one core: ``advance(sim, n)`` steps exactly
+    ``n`` records — across turn boundaries of the batched engine's
+    quantum too — and returns fewer only where the trace ends.  Each
+    runner path ends the trace its own way: the fused one on a
+    synthetic stream's record count or a file stream's end, the generic
+    one on a short burst, the ``core.step`` one on ``StopIteration``."""
+
+    @pytest.mark.parametrize("path", ["fused", "fused-file", "generic", "step"])
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_advance_counts(self, engine, path, converted_trace):
+        config = _config(engine, engine_quantum=7)
+        total = config.warmup_records + config.measure_records
+        workload = find_workload("605.mcf_s")
+        if path == "fused-file":
+            workload = converted_trace(1_000)  # wraps around
+        scheme = "spp" if path == "generic" else "ppf"
+        sim = SingleCoreSim(workload, scheme, config, seed=SEED)
+        if path == "step":
+            sim.core = _SteppedCore(0, sim.hierarchy, config.core)
+        # 10 crosses a 7-record turn boundary; 13 ends off a multiple of 7.
+        for n in (10, 13, 1):
+            before = sim.consumed
+            assert sim.advance(n) == n
+            assert sim.consumed == before + n
+            assert sim.trace.emitted == sim.consumed
+        left = total - sim.consumed
+        assert sim.advance(left + 50) == left
+        assert sim.consumed == total
+        assert sim.advance(5) == 0
+        assert sim.consumed == total
 
 
 @pytest.mark.skipif(

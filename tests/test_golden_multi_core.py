@@ -112,7 +112,7 @@ def test_ppf_mix_uses_the_fused_runner():
     2.5x gate is won by the fused runner)."""
     sim = MultiCoreSim(_mix(), "ppf", _config("batched"), seed=SEED)
     for core_index in range(len(MIX_WORKLOADS)):
-        assert _core_mode(sim, core_index) == "ppf"
+        assert _core_mode(sim.o3cores[core_index], sim.hierarchy, core_index) == "ppf"
 
 
 class TestMidMeasureCheckpoints:

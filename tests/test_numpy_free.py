@@ -47,9 +47,9 @@ def test_every_simulation_path_runs_with_numpy_blocked(tmp_path):
         import repro
         import repro.__main__  # noqa: F401
         from repro import SimConfig, SuiteRunner, find_workload
-        from repro.engine.batched import _select_mode
+        from repro.memory.hierarchy import MemoryHierarchy
         from repro.sim.multi_core import run_multi_core
-        from repro.sim.single_core import SingleCoreSim, run_single_core
+        from repro.sim.single_core import run_single_core
         from repro.workloads.mixes import WorkloadMix
 
 
@@ -61,10 +61,16 @@ def test_every_simulation_path_runs_with_numpy_blocked(tmp_path):
 
         xalan = find_workload("623.xalancbmk_s")
         mcf = find_workload("605.mcf_s")
-        sim = SingleCoreSim(xalan, "ppf", config("batched"), seed=1)
-        assert _select_mode(sim) == "ppf", "ppf cell left the fused kernel"
+        # The fused runner never calls MemoryHierarchy.access; the
+        # generic one calls it once per record.
+        access_calls = []
+        access = MemoryHierarchy.access
+        MemoryHierarchy.access = lambda self, *args: access_calls.append(1) or access(self, *args)
+        fused = run_single_core(xalan, "ppf", config("batched"), seed=1, telemetry=None)
+        assert not access_calls, "ppf cell left the fused runner"
+        MemoryHierarchy.access = access
         cells = [
-            run_single_core(xalan, "ppf", config("batched"), seed=1, telemetry=None),
+            fused,
             run_single_core(mcf, "pythia", config("batched"), seed=1, telemetry=None),
             run_single_core(mcf, "spp", config("scalar"), seed=1, telemetry=None),
         ]
