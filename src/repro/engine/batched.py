@@ -30,13 +30,15 @@ Equivalence contract (see docs/performance.md, "Batched engine"):
   sampling between advances see exactly what the scalar engine would
   show.
 
-The fused runner engages only for the production configuration
-(``MemoryHierarchy``, ``PPF`` over ``SPP`` with the stock flags, LRU
-everywhere, production feature catalog).  Anything else runs the
-*generic* runner — inlined core bookkeeping around the real
-``hierarchy.access`` call — which is structurally bit-identical for any
-hierarchy/prefetcher combination.  Non-``O3Core`` cores fall back to
-plain ``core.step``.
+Both fused runners need the stock machine: an ``O3Core`` on the stock
+``MemoryHierarchy`` and ``DRAM`` with LRU caches.  On it the fused PPF
+runner takes the production configuration (``PPF`` over ``SPP`` with
+the stock flags, production feature catalog) and the fused *generic*
+runner every other prefetcher, replaying the hierarchy inline and
+calling the prefetcher only through its hooks.  Anything else (a
+non-LRU cache, a subclassed hierarchy or DRAM, a foreign core) steps
+through ``core.step``, which reaches ``MemoryHierarchy.access`` and is
+bit-identical by construction.
 """
 
 from __future__ import annotations

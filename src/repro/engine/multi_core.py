@@ -1,10 +1,12 @@
 """The batched engine's drivers and per-core runners, for any core count.
 
-One fused PPF runner, one generic runner and one ``core.step`` fallback
-serve every batched advance.  A single-core sim is the one-core case
-(:func:`batched_advance`): with no runner-up on the heap every turn is
-unbounded, so there is no quantum bound and no run-ahead stash, and the
-runner steps exactly the records it is given.  Both engines'
+Two fused runners and one ``core.step`` fallback serve every batched
+advance: the PPF runner inlines the whole production pipeline, the
+generic runner inlines the same stock L1/L2/LLC/DRAM path around any
+prefetcher's hooks, and anything non-stock steps.  A single-core sim is
+the one-core case (:func:`batched_advance`): with no runner-up on the
+heap every turn is unbounded, so there is no quantum bound and no
+run-ahead stash, and the runner steps exactly the records it is given.  Both engines'
 ``advance_multi`` implementations live here too, built on one
 scheduling fact.  The scalar multi-core loop picks, before every record,
 the core with the minimum ``(cycle, core_index)`` key (``min`` over core
@@ -22,11 +24,11 @@ such that executing the whole quantum as a batch is — by construction —
 bit-identical to the record-at-a-time interleaving, including everything
 observable at the shared LLC and DRAM channels.
 
-On top of the quantum, the fused runner gets one relaxation: *L1-hit
-run-ahead*.  A record that hits in its core's private L1 never touches
-shared state (the hierarchy is non-inclusive: LLC evictions do not
-back-invalidate, so no other core can change an L1's contents), which
-makes it commute with every other core's records.  The runner therefore
+On top of the quantum, the fused PPF runner gets one relaxation:
+*L1-hit run-ahead*.  A record that hits in its core's private L1 never
+touches shared state (the hierarchy is non-inclusive: LLC evictions do
+not back-invalidate, so no other core can change an L1's contents),
+which makes it commute with every other core's records.  The runner therefore
 probes the L1 before committing to a record: hits execute even past the
 quantum bound, and only a *missing* record at or past the bound suspends
 — with the already-pulled record parked in a stash and replayed first on
@@ -46,8 +48,9 @@ samples land on scalar-identical global record counts.
 * :func:`batched_advance_multi` — the cycle-quantum batched driver.  The
   same heap hands out quanta; within a quantum the picked core runs a
   per-core *runner*: the fused PPF kernel as a suspended generator over
-  the core's private L1/L2 path (or the generic inlined-core loop, or
-  plain ``core.step``).
+  the core's private L1/L2 path, the fused generic runner (the same
+  inlined hierarchy, the prefetcher reached through its hooks), or
+  plain ``core.step``.
 
 Why generators: under contention the schedule switches cores every few
 records (mean segment lengths of ~2-4 records are typical for 4-core
@@ -64,13 +67,15 @@ counters, L1/L2 views, SPP/PPF tables and scalars, the inflight queue)
 may be hoisted into each runner's locals.  Counters on the *shared* LLC
 and DRAM stats objects may not — two runners hoisting the same scalar
 would drop each other's writebacks.  Instead the driver hoists them once
-into one plain list that every fused runner aliases (sound because
-exactly one runner executes between yields) and writes them back to the
-live stats objects when the advance returns; this only engages when
-*every* core takes the fused runner, otherwise fused-eligible cores are
-demoted to the generic runner, which mutates the live objects directly.
-Shared mutable containers (LLC set/LRU dicts, DRAM per-channel lists)
-are safe to alias from any runner because every mutation is in place.
+into one plain list that both fused runners alias (sound because exactly
+one runner executes between yields) and writes them back to the live
+stats objects when the advance returns.  A stepping core mutates the
+live objects through ``MemoryHierarchy.access``, which that writeback
+would clobber, so if any core must step, every core steps.  Shared
+mutable containers (LLC set/LRU dicts, DRAM per-channel lists) are safe
+to alias from any runner because every mutation is in place.  A
+prefetcher's own state is private to its core, and by the hook contract
+(``repro.prefetchers.base``) its hooks touch nothing else.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ from ..core.tables import TableEntry
 from ..core.weights import WEIGHT_MAX, WEIGHT_MIN
 from ..cpu.o3core import O3Core
 from ..cpu.trace import TraceRecord
-from ..memory.cache import CacheLine
+from ..memory.cache import Cache, CacheLine
 from ..memory.dram import DRAM
 from ..memory.hierarchy import MemoryHierarchy
 from ..prefetchers.spp import SPP, _GHREntry, _PatternEntry, _SignatureEntry
@@ -134,26 +139,23 @@ _ENC_TAB = list(range(64)) + [0] + [64 | d for d in range(63, 0, -1)]
 # -- eligibility ----------------------------------------------------------------
 
 
+def _lru(cache) -> bool:
+    """A stock cache with LRU replacement: what the fused runners inline."""
+    return type(cache) is Cache and cache.engine_view() is not None
+
+
 def _hier_eligible(hier) -> bool:
-    """Hierarchy-level preconditions of the fused kernel (any core count)."""
-    if type(hier) is not MemoryHierarchy:
-        return False
-    if type(hier.dram) is not DRAM:
-        return False
-    if hier.llc.engine_view() is None:  # non-LRU replacement
-        return False
-    return True
+    """Hierarchy-level preconditions of the fused runners (any core count)."""
+    return type(hier) is MemoryHierarchy and type(hier.dram) is DRAM and _lru(hier.llc)
 
 
-def _ppf_core_eligible(hier, core, pf) -> bool:
-    """Per-core preconditions of the fused kernel.
+def _ppf_eligible(pf) -> bool:
+    """Prefetcher preconditions of the fused PPF runner.
 
-    Exact-type checks on purpose: a subclass overriding any hook would
+    Exact-type checks on purpose: a subclass overriding any method would
     silently diverge from the inlined logic, so anything non-stock takes
-    the generic runner.
+    the generic runner, which calls the prefetcher's own hooks.
     """
-    if type(core) is not O3Core or core.hierarchy is not hier:
-        return False
     if type(pf) is not PPF:
         return False
     if pf.recorder is not None:
@@ -170,21 +172,23 @@ def _ppf_core_eligible(hier, core, pf) -> bool:
         return False
     if pf.prefetch_table.entries < 64 or pf.reject_table.entries < 64:
         return False  # index hoists assume masks cover the offset bits
-    for cache in (hier.l1[core.core_id], hier.l2[core.core_id]):
-        if cache.engine_view() is None:
-            return False
     return True
 
 
 def _core_mode(core, hier, i: int) -> str:
-    """The runner core ``i`` takes: ``"ppf"``, ``"generic"`` or ``"step"``."""
-    if type(core) is not O3Core:
+    """The runner core ``i`` takes: ``"ppf"``, ``"generic"`` or ``"step"``.
+
+    Both fused runners inline the stock hierarchy, so each needs a plain
+    ``O3Core`` wired to it as core ``i``, the stock hierarchy and DRAM
+    and LRU caches on the core's path.  Anything else (a non-LRU cache, a
+    subclassed hierarchy, cache or DRAM, a foreign core) steps through
+    ``core.step``, which reaches ``MemoryHierarchy.access`` itself.
+    """
+    if type(core) is not O3Core or core.core_id != i or core.hierarchy is not hier:
         return "step"
-    if core.core_id != i or not _hier_eligible(hier):
-        return "generic"
-    if _ppf_core_eligible(hier, core, hier.prefetchers[i]):
-        return "ppf"
-    return "generic"
+    if not (_hier_eligible(hier) and _lru(hier.l1[i]) and _lru(hier.l2[i])):
+        return "step"
+    return "ppf" if _ppf_eligible(hier.prefetchers[i]) else "generic"
 
 
 # -- scalar multi-core advance (the bit-identity oracle) ------------------------
@@ -283,18 +287,15 @@ def batched_advance_multi(sim, n_records: int, quantum: int) -> int:
     exact = sim._telemetry is not None
     hier = sim.hierarchy
     modes = [_core_mode(o3cores[i], hier, i) for i in range(cores)]
-    shared = None
-    if "ppf" in modes:
-        if all(mode == "ppf" for mode in modes):
-            # Captures only read the core<i> stats subtree, so the
-            # hoisted shared counters need no mid-advance flush.
-            shared = _hoist_shared(hier)
-        else:
-            # Mixed modes: generic/step cores mutate the live shared
-            # stats objects directly, so the hoisted-list writeback
-            # would clobber their increments.  Demote — the generic
-            # runner is bit-identical, just slower.
-            modes = ["generic" if mode == "ppf" else mode for mode in modes]
+    if "step" in modes:
+        # A stepping core mutates the live shared stats objects, which
+        # the hoisted-list writeback would clobber: every core steps.
+        modes = ["step"] * cores
+        shared = None
+    else:
+        # Captures only read the core<i> stats subtree, so the hoisted
+        # shared counters need no mid-advance flush.
+        shared = _hoist_shared(hier)
     if measuring:
         heap = [(o3cores[i].cycle, i) for i in range(cores)]
     else:
@@ -429,7 +430,7 @@ def batched_advance(sim, n_records: int, quantum: int) -> int:
     core = sim.core
     hier = sim.hierarchy
     mode = _core_mode(core, hier, 0)
-    shared = _hoist_shared(hier) if mode == "ppf" else None
+    shared = None if mode == "step" else _hoist_shared(hier)
     runner = _start_runner(mode, core, _OneCoreTrace(sim.trace), shared, False)
     cap = quantum if quantum > 0 else n_records
     taken = 0
@@ -456,9 +457,10 @@ def batched_advance(sim, n_records: int, quantum: int) -> int:
 # the hoists, parks before any work), then repeatedly ``send``s a
 # ``(stop_at, budget)`` pair; the runner steps records while fewer than
 # ``budget`` records were stepped this turn and its schedule position
-# allows (its cycle is below ``stop_at``, except fused L1-hit run-ahead),
-# then yields ``(cycle, stepped, stashed)`` — ``stashed`` flags a pulled
-# record suspended before processing (its key is the yielded cycle).
+# allows (its cycle is below ``stop_at``, except the fused PPF runner's
+# L1-hit run-ahead), then yields ``(cycle, stepped, stashed)`` —
+# ``stashed`` flags a pulled record suspended before processing (its key
+# is the yielded cycle).
 # ``close()`` runs the ``finally`` writeback and parks any stash in the
 # trace's pending slot.  A mix's trace laps forever; a single-core
 # trace ends, and its end ends the turn early (``stepped < budget``).
@@ -475,7 +477,7 @@ def _start_runner(mode: str, core, trace, shared, exact: bool):
     if mode == "ppf":
         runner = _ppf_runner(core, trace, shared, exact)
     elif mode == "generic":
-        runner = _generic_runner(core, trace)
+        runner = _generic_runner(core, trace, shared)
     else:
         runner = _step_runner(core, trace)
     next(runner)
@@ -483,7 +485,8 @@ def _start_runner(mode: str, core, trace, shared, exact: bool):
 
 
 def _step_runner(core, trace):
-    """Fallback for foreign core types: defer to the core's own step()."""
+    """Fallback for anything non-stock: defer to the core's own step(),
+    which reaches ``MemoryHierarchy.access`` (exact by construction)."""
     step = core.step
     stop_at, budget = yield
     while True:
@@ -497,35 +500,110 @@ def _step_runner(core, trace):
         stop_at, budget = yield (core.cycle, seg, False)
 
 
-def _generic_runner(core, trace):
-    """Inlined O3Core bookkeeping around the real ``hierarchy.access``.
+def _generic_runner(core, trace, sh: list):  # noqa: C901
+    """The stock L1/L2/LLC/DRAM path, inlined around any prefetcher's hooks.
 
-    Every memory-side event goes through the exact scalar code, so this
-    path is bit-identical for any hierarchy/prefetcher combination.  No
-    run-ahead here — a custom hierarchy may touch shared state on any
-    access, so every record stays inside its quantum.
+    Replays ``MemoryHierarchy.access`` event for event for any
+    prefetcher: L1 probe -> L2 demand (on a hit, the late-prefetch
+    residual and ``on_useful_prefetch``) -> on a miss the LLC demand
+    (same useful rule) and DRAM, then the LLC and L2 fills -> ``train``
+    at the L2-demand cycle -> prefetch issue -> L1 fill.  Every L2
+    victim, demand or prefetch fill, goes to ``on_eviction`` after the
+    insert, as ``_fill_l2`` does.
+
+    The prefetcher is reached only through its five hooks (``train``,
+    ``note_candidates``, ``on_useful_prefetch``, ``on_prefetch_issued``,
+    ``on_eviction``), which by the hook contract touch only its own
+    state (``repro.prefetchers.base``): so its stats stay live while the
+    core clock, the L1/L2 views and counters, the inflight queue and
+    DRAM are hoisted as in :func:`_ppf_runner`, and shared LLC/DRAM
+    counters ride in ``sh``.  No run-ahead here: every record stays
+    inside its quantum.
     """
+    i = core.core_id
     workload = trace._workload
     lap_chunk = trace._chunk
     reloc = trace._offset
     it = trace._it
-    access = core.hierarchy.access
-    core_id = core.core_id
-    cfg = core.config
-    width = cfg.width
-    rob_size = cfg.rob_size
-    mlp_limit = cfg.mlp_limit
-    stats = core.stats
+
+    # -- core -----------------------------------------------------------------
+    ccfg = core.config
+    width = ccfg.width
+    rob_size = ccfg.rob_size
+    mlp_limit = ccfg.mlp_limit
+    cstats = core.stats
+    c_loads = cstats.loads
+    c_rob = cstats.rob_stalls
+    c_mlp = cstats.mlp_stalls
     outstanding = core._outstanding
     popleft = outstanding.popleft
     push = outstanding.append
-    loads = stats.loads
-    rob_stalls = stats.rob_stalls
-    mlp_stalls = stats.mlp_stalls
     cycle = core.cycle
     instructions = core.instructions
     retire_frac = core._retire_frac
     seq = core._seq
+
+    # -- hierarchy / caches ---------------------------------------------------
+    hier = core.hierarchy
+    hcfg = hier.config
+    max_pft = hcfg.max_prefetches_per_trigger
+    queue_size = hcfg.prefetch_queue_size
+    l1_sets, l1_ord, l1_stats, l1_assoc, l1_mask, l1_lat = hier.l1[i].engine_view()
+    l2_sets, l2_ord, l2_stats, l2_assoc, l2_mask, l2_lat = hier.l2[i].engine_view()
+    ll_sets, ll_ord, _ll_stats, ll_assoc, ll_mask, ll_lat = hier.llc.engine_view()
+    ll_get = ll_sets.get
+    l1_da = l1_stats.demand_accesses
+    l1_hit = l1_stats.demand_hits
+    l1_miss = l1_stats.demand_misses
+    l1_fill = l1_stats.fills
+    l1_evt = l1_stats.evictions
+    l1_useful = l1_stats.useful_prefetches
+    l1_useless = l1_stats.useless_prefetch_evictions
+    l2_da = l2_stats.demand_accesses
+    l2_hit = l2_stats.demand_hits
+    l2_miss = l2_stats.demand_misses
+    l2_fill = l2_stats.fills
+    l2_pfill = l2_stats.prefetch_fills
+    l2_evt = l2_stats.evictions
+    l2_useful = l2_stats.useful_prefetches
+    l2_useless = l2_stats.useless_prefetch_evictions
+    inflight = hier._inflight_prefetches[i]
+    dropped = hier.prefetches_dropped[i]
+    # Dense mirrors of the private L1/L2 set and LRU-order maps, as in
+    # the fused PPF runner; new sets dual-write.
+    l1s = [None] * (l1_mask + 1)
+    for _k, _v in l1_sets.items():
+        l1s[_k] = _v
+    l1o = [None] * (l1_mask + 1)
+    for _k, _v in l1_ord.items():
+        l1o[_k] = _v
+    l2s = [None] * (l2_mask + 1)
+    for _k, _v in l2_sets.items():
+        l2s[_k] = _v
+    l2o = [None] * (l2_mask + 1)
+    for _k, _v in l2_ord.items():
+        l2o[_k] = _v
+    _Line = CacheLine
+    _OD = OrderedDict
+
+    # -- DRAM (shared: counters ride in ``sh``) -------------------------------
+    dram = hier.dram
+    dcfg = dram.config
+    channels = dcfg.channels
+    cpt = dcfg.cycles_per_transfer
+    rh_lat = dcfg.row_hit_latency
+    rm_lat = dcfg.row_miss_latency
+    next_free = dram._next_free
+    open_row = dram._open_row
+
+    # -- the prefetcher's hooks -----------------------------------------------
+    pf = hier.prefetchers[i]
+    train = pf.train
+    note_candidates = pf.note_candidates
+    on_useful = pf.on_useful_prefetch
+    on_issued = pf.on_prefetch_issued
+    on_eviction = pf.on_eviction
+
     pending = trace._pending  # a post-completion stash parked by a fused runner
     if pending is not None:
         trace._pending = None
@@ -558,7 +636,11 @@ def _generic_runner(core, trace):
                     it = trace._it = iter(trace._stream)
                     continue
                 for rec in batch:
+                    pc = rec.pc
+                    addr = rec.addr + reloc
                     bubble = rec.bubble
+
+                    # ---- O3Core.step front end ------------------------------
                     retire = retire_frac + bubble
                     cycle += retire // width
                     retire_frac = retire % width
@@ -567,21 +649,295 @@ def _generic_runner(core, trace):
                         popleft()
                     rob_horizon = seq - rob_size
                     while outstanding and outstanding[0][1] <= rob_horizon:
-                        rob_stalls += 1
+                        c_rob += 1
                         completion = popleft()[0]
                         if completion > cycle:
                             cycle = completion
                         while outstanding and outstanding[0][0] <= cycle:
                             popleft()
                     while len(outstanding) >= mlp_limit:
-                        mlp_stalls += 1
+                        c_mlp += 1
                         completion = popleft()[0]
                         if completion > cycle:
                             cycle = completion
                         while outstanding and outstanding[0][0] <= cycle:
                             popleft()
-                    loads += 1
-                    ready = access(core_id, rec.pc, rec.addr + reloc, cycle).ready_cycle
+                    c_loads += 1
+
+                    # ---- L1 lookup ------------------------------------------
+                    block = addr >> 6
+                    si1 = block & l1_mask
+                    lines1 = l1s[si1]
+                    line = lines1.get(block) if lines1 else None
+                    l1_da += 1
+                    if line is not None:
+                        l1_hit += 1
+                        if line.is_prefetch and not line.used:
+                            l1_useful += 1
+                        line.used = True
+                        l1o[si1].move_to_end(block)
+                        ready = cycle + l1_lat
+                        if ready > cycle:
+                            push((ready, seq))
+                        instructions += bubble + 1
+                        continue
+                    l1_miss += 1
+                    cycle2 = cycle + l1_lat
+
+                    # ---- L2 demand ------------------------------------------
+                    si2 = block & l2_mask
+                    lines2 = l2s[si2]
+                    line2 = lines2.get(block) if lines2 else None
+                    l2_da += 1
+                    if line2 is not None:
+                        l2_hit += 1
+                        ipf = line2.is_prefetch
+                        if ipf and not line2.used:
+                            l2_useful += 1
+                        line2.used = True
+                        l2o[si2].move_to_end(block)
+                        fc = line2.fill_cycle
+                        ready = (fc if fc > cycle2 else cycle2) + l2_lat
+                        if ipf:
+                            line2.is_prefetch = False  # count each prefetch useful once
+                            on_useful(addr)
+                    else:
+                        l2_miss += 1
+                        cycle3 = cycle2 + l2_lat
+                        # ---- LLC demand (shared: counters in ``sh``) --------
+                        si3 = block & ll_mask
+                        lines3 = ll_get(si3)
+                        line3 = lines3.get(block) if lines3 else None
+                        sh[0] += 1  # llc demand_accesses
+                        if line3 is not None:
+                            sh[1] += 1  # llc demand_hits
+                            ipf = line3.is_prefetch
+                            if ipf and not line3.used:
+                                sh[6] += 1  # llc useful_prefetches
+                            line3.used = True
+                            ll_ord[si3].move_to_end(block)
+                            if ipf:
+                                line3.is_prefetch = False
+                                on_useful(addr)
+                            fc = line3.fill_cycle
+                            ready = (fc if fc > cycle3 else cycle3) + ll_lat
+                        else:
+                            sh[2] += 1  # llc demand_misses
+                            # ---- DRAM demand access at cycle3 + ll_lat ------
+                            dc = cycle3 + ll_lat
+                            ch = block % channels
+                            nf = next_free[ch]
+                            start = dc if dc > nf else nf
+                            sh[13] += start - dc  # dram total_queue_delay
+                            row = addr >> 13  # ROW_BITS
+                            if open_row[ch] == row:
+                                sh[11] += 1  # dram row_hits
+                                ready = start + rh_lat
+                            else:
+                                sh[12] += 1  # dram row_misses
+                                open_row[ch] = row
+                                ready = start + rm_lat
+                            next_free[ch] = start + cpt
+                            sh[8] += 1  # dram accesses
+                            sh[9] += 1  # dram demand_accesses
+                            # ---- LLC demand fill (missed, so not resident) --
+                            if lines3 is None:
+                                lines3 = {}
+                                ll_sets[si3] = lines3
+                            od3 = ll_ord.get(si3)
+                            if od3 is None:
+                                od3 = _OD()
+                                ll_ord[si3] = od3
+                            if len(lines3) >= ll_assoc:
+                                victim, _ = od3.popitem(last=False)
+                                vline = lines3.pop(victim)
+                                sh[5] += 1  # llc evictions
+                                if vline.is_prefetch and not vline.used:
+                                    sh[7] += 1  # llc useless_prefetch_evictions
+                                # Evicted line objects are unreferenced once
+                                # popped: recycle for the incoming fill.
+                                vline.block = block
+                                vline.is_prefetch = False
+                                vline.used = False
+                                vline.fill_cycle = ready
+                                lines3[block] = vline
+                            else:
+                                lines3[block] = _Line(block, False, False, ready)
+                            od3[block] = None
+                            sh[3] += 1  # llc fills
+                        # ---- L2 demand fill (missed, so not resident) -------
+                        if lines2 is None:
+                            lines2 = {}
+                            l2_sets[si2] = lines2
+                            l2s[si2] = lines2
+                        od2 = l2o[si2]
+                        if od2 is None:
+                            od2 = _OD()
+                            l2_ord[si2] = od2
+                            l2o[si2] = od2
+                        if len(lines2) >= l2_assoc:
+                            victim, _ = od2.popitem(last=False)
+                            vline = lines2.pop(victim)
+                            l2_evt += 1
+                            vb = vline.block
+                            v_pf = vline.is_prefetch
+                            v_used = vline.used
+                            if v_pf and not v_used:
+                                l2_useless += 1
+                            vline.block = block
+                            vline.is_prefetch = False
+                            vline.used = False
+                            vline.fill_cycle = ready
+                            lines2[block] = vline
+                            od2[block] = None
+                            l2_fill += 1
+                            on_eviction(vb << 6, v_pf, v_used)
+                        else:
+                            lines2[block] = _Line(block, False, False, ready)
+                            od2[block] = None
+                            l2_fill += 1
+
+                    # ---- prefetcher.train, then prefetch issue at cycle2 ----
+                    candidates = train(addr, pc, line2 is not None, cycle2)
+                    if candidates:
+                        note_candidates(len(candidates))
+                        for cand in candidates[:max_pft]:
+                            # MemoryHierarchy._issue_prefetch(i, cand, cycle2)
+                            cand_addr = cand.addr
+                            cb = cand_addr >> 6
+                            lset = l2s[cb & l2_mask]
+                            if lset and cb in lset:
+                                continue  # redundant with L2 residency
+                            fill_l2 = cand.fill_l2
+                            if fill_l2:
+                                in_llc = None  # not yet probed
+                            else:
+                                lset = ll_get(cb & ll_mask)
+                                in_llc = bool(lset) and cb in lset
+                                if in_llc:
+                                    continue  # redundant with LLC residency
+                            for done in inflight:
+                                if done <= cycle2:  # rebuild only on expiry
+                                    inflight = [d for d in inflight if d > cycle2]
+                                    break
+                            if len(inflight) >= queue_size:
+                                dropped += 1
+                                continue
+                            on_issued(cand)
+                            if in_llc is None:
+                                lset = ll_get(cb & ll_mask)
+                                in_llc = bool(lset) and cb in lset
+                            if in_llc:
+                                data_cycle = cycle2 + ll_lat
+                            else:
+                                # DRAM prefetch access at cycle2 (shared ``sh``)
+                                ch = cb % channels
+                                nf = next_free[ch]
+                                start = cycle2 if cycle2 > nf else nf
+                                sh[13] += start - cycle2  # dram total_queue_delay
+                                row = cand_addr >> 13
+                                if open_row[ch] == row:
+                                    sh[11] += 1  # dram row_hits
+                                    data_cycle = start + rh_lat
+                                else:
+                                    sh[12] += 1  # dram row_misses
+                                    open_row[ch] = row
+                                    data_cycle = start + rm_lat
+                                next_free[ch] = start + cpt
+                                sh[8] += 1  # dram accesses
+                                sh[10] += 1  # dram prefetch_accesses
+                            inflight.append(data_cycle)
+                            if not in_llc:
+                                # LLC prefetch fill (not resident)
+                                si3 = cb & ll_mask
+                                lines3 = ll_get(si3)
+                                if lines3 is None:
+                                    lines3 = {}
+                                    ll_sets[si3] = lines3
+                                od3 = ll_ord.get(si3)
+                                if od3 is None:
+                                    od3 = _OD()
+                                    ll_ord[si3] = od3
+                                if len(lines3) >= ll_assoc:
+                                    victim, _ = od3.popitem(last=False)
+                                    vline = lines3.pop(victim)
+                                    sh[5] += 1  # llc evictions
+                                    if vline.is_prefetch and not vline.used:
+                                        sh[7] += 1  # llc useless_prefetch_evictions
+                                    vline.block = cb
+                                    vline.is_prefetch = True
+                                    vline.used = False
+                                    vline.fill_cycle = data_cycle
+                                    lines3[cb] = vline
+                                else:
+                                    lines3[cb] = _Line(cb, True, False, data_cycle)
+                                od3[cb] = None
+                                sh[3] += 1  # llc fills
+                                sh[4] += 1  # llc prefetch_fills
+                            if fill_l2:
+                                # L2 prefetch fill (not resident: checked above)
+                                si2p = cb & l2_mask
+                                lines2 = l2s[si2p]
+                                if lines2 is None:
+                                    lines2 = {}
+                                    l2_sets[si2p] = lines2
+                                    l2s[si2p] = lines2
+                                od2 = l2o[si2p]
+                                if od2 is None:
+                                    od2 = _OD()
+                                    l2_ord[si2p] = od2
+                                    l2o[si2p] = od2
+                                if len(lines2) >= l2_assoc:
+                                    victim, _ = od2.popitem(last=False)
+                                    vline = lines2.pop(victim)
+                                    l2_evt += 1
+                                    vb = vline.block
+                                    v_pf = vline.is_prefetch
+                                    v_used = vline.used
+                                    if v_pf and not v_used:
+                                        l2_useless += 1
+                                    vline.block = cb
+                                    vline.is_prefetch = True
+                                    vline.used = False
+                                    vline.fill_cycle = data_cycle
+                                    lines2[cb] = vline
+                                    od2[cb] = None
+                                    l2_fill += 1
+                                    l2_pfill += 1
+                                    on_eviction(vb << 6, v_pf, v_used)
+                                else:
+                                    lines2[cb] = _Line(cb, True, False, data_cycle)
+                                    od2[cb] = None
+                                    l2_fill += 1
+                                    l2_pfill += 1
+
+                    # ---- L1 demand fill (missed on entry, so not resident) --
+                    if lines1 is None:
+                        lines1 = {}
+                        l1_sets[si1] = lines1
+                        l1s[si1] = lines1
+                    od1 = l1o[si1]
+                    if od1 is None:
+                        od1 = _OD()
+                        l1_ord[si1] = od1
+                        l1o[si1] = od1
+                    if len(lines1) >= l1_assoc:
+                        victim, _ = od1.popitem(last=False)
+                        vline = lines1.pop(victim)
+                        l1_evt += 1
+                        if vline.is_prefetch and not vline.used:
+                            l1_useless += 1
+                        vline.block = block
+                        vline.is_prefetch = False
+                        vline.used = False
+                        vline.fill_cycle = ready
+                        lines1[block] = vline
+                    else:
+                        lines1[block] = _Line(block, False, False, ready)
+                    od1[block] = None
+                    l1_fill += 1
+
+                    # ---- O3Core.step tail -----------------------------------
                     if ready > cycle:
                         push((ready, seq))
                     instructions += bubble + 1
@@ -594,9 +950,26 @@ def _generic_runner(core, trace):
         core.instructions = instructions
         core._retire_frac = retire_frac
         core._seq = seq
-        stats.loads = loads
-        stats.rob_stalls = rob_stalls
-        stats.mlp_stalls = mlp_stalls
+        cstats.loads = c_loads
+        cstats.rob_stalls = c_rob
+        cstats.mlp_stalls = c_mlp
+        l1_stats.demand_accesses = l1_da
+        l1_stats.demand_hits = l1_hit
+        l1_stats.demand_misses = l1_miss
+        l1_stats.fills = l1_fill
+        l1_stats.evictions = l1_evt
+        l1_stats.useful_prefetches = l1_useful
+        l1_stats.useless_prefetch_evictions = l1_useless
+        l2_stats.demand_accesses = l2_da
+        l2_stats.demand_hits = l2_hit
+        l2_stats.demand_misses = l2_miss
+        l2_stats.fills = l2_fill
+        l2_stats.prefetch_fills = l2_pfill
+        l2_stats.evictions = l2_evt
+        l2_stats.useful_prefetches = l2_useful
+        l2_stats.useless_prefetch_evictions = l2_useless
+        hier._inflight_prefetches[i] = inflight
+        hier.prefetches_dropped[i] = dropped
 
 
 def _ppf_runner(core, trace, sh: list, exact: bool):  # noqa: C901

@@ -263,8 +263,8 @@ class Cache:
 
         Returns ``(sets, lru_order, stats, associativity, set_mask,
         latency)`` or ``None`` when the replacement policy is not LRU (the
-        fused kernel only inlines LRU; other policies take the generic
-        path).  The engine relies on two invariants the scalar methods
+        fused runners only inline LRU; other policies step through
+        ``MemoryHierarchy.access``).  The engine relies on two invariants the scalar methods
         maintain: a resident block's tag is always present in its set's
         LRU order (so a touch is a plain ``move_to_end``), and
         ``popitem(last=False)`` on the order is exactly victim-selection

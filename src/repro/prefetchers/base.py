@@ -15,6 +15,15 @@ Candidates carry a ``fill_l2`` flag (L2 vs last-level fill, the paper's
 two-level confidence decision) plus a free-form ``meta`` mapping that
 lets PPF recover the underlying prefetcher's internal state (signature,
 confidence, depth, delta …) for its feature vector.
+
+**The hook contract.**  The hooks above, and ``note_candidates``, may
+read and write only the prefetcher's own state: never a cache, the
+DRAM model, the hierarchy or the core.  The batched engine's fused
+runners rely on it (``repro.engine.multi_core``): they replay the
+hierarchy inline and hold cache and DRAM counters in locals between two
+hook calls, so a hook that looked at them would see stale values, and
+one that wrote to them would be overwritten.  Everything a prefetcher
+needs arrives as hook arguments.
 """
 
 from __future__ import annotations

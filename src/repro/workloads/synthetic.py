@@ -22,6 +22,7 @@ from abc import ABC, abstractmethod
 from array import array
 from bisect import bisect
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, List, Sequence
 
@@ -123,7 +124,8 @@ class StridedPattern(AccessPattern):
         return addr
 
 
-def _shuffled_ring(base: int, n: int, seed: int) -> array:
+@lru_cache(maxsize=2)
+def _shuffled_ring(base: int, n: int, seed: int) -> memoryview:
     """Blocks ``base .. base + n - 1`` in ``random.Random(seed).shuffle`` order.
 
     The same in-place Fisher–Yates walk as ``shuffle``, with
@@ -132,6 +134,13 @@ def _shuffled_ring(base: int, n: int, seed: int) -> array:
     The walk goes one bit length at a time, so every bound in an inner
     loop shares one width.  The ring is the one ``shuffle`` gives a list,
     held as 8-byte machine ints instead of a list of int objects.
+
+    A pure function, memoized per process: every scheme of a sweep
+    builds its model's rings from the same arguments, and a suite runs
+    a model's schemes back to back, so two entries (the most rings one
+    model builds) make each ring a one-time build per worker.  The ring
+    comes back as a read-only view, so no caller can write to a shared
+    ring; it costs the same 8 bytes per block and indexes as fast.
     """
     ring = array("q", range(base, base + n))
     getrandbits = random.Random(seed).getrandbits
@@ -145,7 +154,7 @@ def _shuffled_ring(base: int, n: int, seed: int) -> array:
                 j = getrandbits(k)
             ring[i], ring[j] = ring[j], ring[i]
         top = bottom - 1
-    return ring
+    return memoryview(ring).toreadonly()
 
 
 class PointerChasePattern(AccessPattern):
@@ -153,8 +162,10 @@ class PointerChasePattern(AccessPattern):
 
     Each block "points to" the next; the walk order is random but fixed,
     so caches see reuse at working-set distance while delta-based
-    prefetchers see noise.  The ring is an ``array("q")`` of block
-    numbers, rebuilt from the constructor arguments on a restore.
+    prefetchers see noise.  The ring is a read-only view of an
+    ``array("q")`` of block numbers, shared by every pattern built from
+    the same arguments (:func:`_shuffled_ring`) and rebuilt from them on
+    a restore.
     """
 
     def __init__(self, start_page: int, working_set_blocks: int, seed: int) -> None:

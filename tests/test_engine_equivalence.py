@@ -30,11 +30,15 @@ from pathlib import Path
 
 import pytest
 
+from repro import registry
 from repro.bench.micro import BENCHMARKS, run_benchmarks
 from repro.bench.report import default_baseline_path, load_baseline
+from repro.core.ppf import PPF
 from repro.cpu.o3core import O3Core
 from repro.engine.batched import BatchedEngine
+from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.prefetchers.base import PrefetchCandidate, Prefetcher
 from repro.sim.config import SimConfig
 from repro.sim.single_core import SingleCoreSim, run_single_core
 from repro.telemetry import Telemetry, activate
@@ -106,17 +110,12 @@ class TestGoldenCellsUnderBothEngines:
         (the golden comparison would still pass, but the 3× gate is won
         by the fused kernel — losing it is a performance regression).
 
-        The fused runner inlines the whole hierarchy, so a ``ppf`` cell
-        that stays on it never calls ``MemoryHierarchy.access``; the
-        generic runner calls it once per record."""
-        calls = []
-        access = MemoryHierarchy.access
-
-        def counted(self, *args):
-            calls.append(1)
-            return access(self, *args)
-
-        monkeypatch.setattr(MemoryHierarchy, "access", counted)
+        The fused PPF runner inlines the whole hierarchy and PPF's
+        training, so a ``ppf`` cell that stays on it calls neither
+        ``MemoryHierarchy.access`` nor ``PPF.train``; the generic runner
+        calls ``PPF.train`` on every L2 demand access."""
+        access = _counted(monkeypatch, MemoryHierarchy, "access")
+        train = _counted(monkeypatch, PPF, "train")
         workload = find_workload("605.mcf_s")
         sim = SingleCoreSim(workload, "ppf", _config("batched"), seed=SEED)
         assert isinstance(sim._engine, BatchedEngine)
@@ -124,9 +123,99 @@ class TestGoldenCellsUnderBothEngines:
         sim.begin_measurement()
         sim.measure()
         assert sim.consumed == WARMUP_RECORDS + MEASURE_RECORDS
-        assert not calls, f"ppf cell left the fused runner: {len(calls)} access calls"
-        run_single_core(workload, "spp", _config("batched"), seed=SEED)
-        assert len(calls) == WARMUP_RECORDS + MEASURE_RECORDS
+        assert not access, f"ppf cell left the fused runner: {len(access)} access calls"
+        assert not train, f"ppf cell left the fused runner: {len(train)} PPF.train calls"
+
+
+def _counted(monkeypatch, owner, name: str) -> list:
+    """Count calls of ``owner.name`` for the rest of the test."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _fifo_llc(sim) -> None:
+    """Swap a FIFO LLC of the same geometry into ``sim``'s hierarchy."""
+    llc = sim.hierarchy.llc
+    sim.hierarchy.llc = Cache(
+        "LLC", llc.size_bytes, llc.associativity, llc.latency, replacement="fifo"
+    )
+    sim.hierarchy.stats.attach("llc", sim.hierarchy.llc.stats)
+
+
+#: Every registry prefetcher but ``ppf`` (pinned above), plus the zoo's
+#: filtered specs; ``filtered:spp`` builds the production PPF, so it
+#: takes the fused PPF runner, and the rest the fused generic one.
+OTHER_SCHEMES = [name for name in registry.names("prefetcher") if name != "ppf"] + [
+    "filtered:spp",
+    "filtered:pythia",
+    "filtered:two-level",
+]
+
+
+class TestRunnersStayOnTheirPath:
+    """Each cell stays on the runner its configuration selects.
+
+    Every runner is exact, so the golden and fuzz comparisons pass on
+    any of them; these guards catch a cell silently sliding onto a
+    slower path.  The two fused runners inline the stock hierarchy and
+    never call ``MemoryHierarchy.access``; the ``core.step`` runner
+    calls it once per record.
+    """
+
+    @pytest.mark.parametrize("scheme", OTHER_SCHEMES)
+    def test_other_prefetchers_use_the_fused_hierarchy(self, monkeypatch, scheme):
+        access = _counted(monkeypatch, MemoryHierarchy, "access")
+        config = _config("batched", warmup_records=200, measure_records=600)
+        run_single_core(find_workload("605.mcf_s"), scheme, config, seed=SEED)
+        assert not access, f"{scheme} cell left the fused runners"
+
+    def test_a_prefetcher_registered_at_test_time_runs_fused_and_exact(self, monkeypatch):
+        """The hook contract (``repro.prefetchers.base``): hooks touch
+        only the prefetcher's own state, so a prefetcher registered the
+        way docs/architecture.md shows runs on the fused generic runner
+        and matches the scalar engine."""
+
+        @registry.register("prefetcher", "test-next-2")
+        class NextTwo(Prefetcher):
+            name = "test-next-2"
+
+            def train(self, addr, pc, cache_hit, cycle):
+                # Reads every argument, so a runner that passes a wrong
+                # one (the L1 cycle for the L2 one, say) diverges.
+                block = (addr >> 6) + cycle % 3 + (pc & 1) + cache_hit
+                return [
+                    PrefetchCandidate(addr=(block + 1) << 6),
+                    PrefetchCandidate(addr=(block + 2) << 6, fill_l2=False),
+                ]
+
+        workload = find_workload("623.xalancbmk_s")
+        try:
+            scalar = run_single_core(workload, "test-next-2", _config("scalar"), seed=SEED)
+            access = _counted(monkeypatch, MemoryHierarchy, "access")
+            batched = run_single_core(workload, "test-next-2", _config("batched"), seed=SEED)
+        finally:
+            registry.unregister("prefetcher", "test-next-2")
+        assert not access, "a registered prefetcher left the fused generic runner"
+        assert scalar.stats["core0.prefetcher.prefetch.issued_llc"] > 0
+        _assert_results_identical(batched, scalar, "test-next-2")
+
+    def test_fifo_llc_cell_steps(self, monkeypatch):
+        access = _counted(monkeypatch, MemoryHierarchy, "access")
+        config = _config("batched", warmup_records=200, measure_records=600)
+        sim = SingleCoreSim(find_workload("605.mcf_s"), "spp", config, seed=SEED)
+        _fifo_llc(sim)
+        sim.warmup()
+        sim.begin_measurement()
+        sim.measure()
+        assert sim.consumed == 800
+        assert len(access) == 800, "a FIFO-LLC cell left the core.step runner"
 
 
 class TestCrossEngineCheckpoints:
@@ -212,11 +301,12 @@ class TestAdvanceStepsExactly:
     """Contract point 1 for one core: ``advance(sim, n)`` steps exactly
     ``n`` records — across turn boundaries of the batched engine's
     quantum too — and returns fewer only where the trace ends.  Each
-    runner path ends the trace its own way: the fused one on a
-    synthetic stream's record count or a file stream's end, the generic
-    one on a short burst, the ``core.step`` one on ``StopIteration``."""
+    runner path ends the trace its own way: the fused PPF one on a
+    synthetic stream's record count or a file stream's end, the fused
+    generic one on a short burst, the ``core.step`` one (a foreign core
+    or a FIFO LLC) on ``StopIteration``."""
 
-    @pytest.mark.parametrize("path", ["fused", "fused-file", "generic", "step"])
+    @pytest.mark.parametrize("path", ["fused", "fused-file", "generic", "step", "step-fifo"])
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_advance_counts(self, engine, path, converted_trace):
         config = _config(engine, engine_quantum=7)
@@ -224,10 +314,12 @@ class TestAdvanceStepsExactly:
         workload = find_workload("605.mcf_s")
         if path == "fused-file":
             workload = converted_trace(1_000)  # wraps around
-        scheme = "spp" if path == "generic" else "ppf"
+        scheme = "spp" if path in ("generic", "step-fifo") else "ppf"
         sim = SingleCoreSim(workload, scheme, config, seed=SEED)
         if path == "step":
             sim.core = _SteppedCore(0, sim.hierarchy, config.core)
+        elif path == "step-fifo":
+            _fifo_llc(sim)
         # 10 crosses a 7-record turn boundary; 13 ends off a multiple of 7.
         for n in (10, 13, 1):
             before = sim.consumed

@@ -2,10 +2,11 @@
 
 The golden cells pin engine equivalence on a handful of hand-picked
 configurations.  These properties draw the configuration instead: the
-workload, the prefetcher spec, the cache geometry (with an LRU or a
-FIFO LLC, so both the fused and the generic runner run), the batched
-engine's ``engine_quantum``, telemetry off or on, and one or two cut
-points.  For a single-core cell they assert that
+workload, the prefetcher spec, the cache geometry (with an LRU LLC, on
+which the fused PPF runner takes ``ppf`` and the fused generic runner
+every other spec, or a FIFO LLC, on which every cell steps through
+``core.step``), the batched engine's ``engine_quantum``, telemetry off
+or on, and one or two cut points.  For a single-core cell they assert that
 
 * the two engines' ``state_dict()``s are byte-equal, as the JSON a
   snapshot stores, at every advance boundary;
@@ -145,8 +146,8 @@ def cells(draw) -> Cell:
 
 
 def _fifo_llc(hierarchy) -> None:
-    """Swap in a FIFO LLC of the same geometry (the fused runner inlines
-    LRU only, so every core then takes the generic runner)."""
+    """Swap in a FIFO LLC of the same geometry (the fused runners inline
+    LRU only, so every core then takes the ``core.step`` runner)."""
     llc = hierarchy.llc
     hierarchy.llc = Cache("LLC", llc.size_bytes, llc.associativity, llc.latency, replacement="fifo")
     hierarchy.stats.attach("llc", hierarchy.llc.stats)
@@ -232,8 +233,30 @@ FUSED_SMALL_CELL = Cell(
     cuts=(WARMUP + 250,),
     resume=("batched",),
 )
-#: A zoo spec over a FIFO LLC with probes attached: the generic runner.
+#: A zoo spec on small LRU caches with probes attached: the fused
+#: generic runner, with every prefetcher hook firing (L2 and LLC useful
+#: prefetches, L2- and LLC-only fills, useless evictions, queue drops).
 GENERIC_CELL = Cell(
+    workload="623.xalancbmk_s",
+    scheme="filtered:pythia",
+    hierarchy=HierarchyConfig(
+        l1_size=8 * 2 * 64,
+        l1_assoc=2,
+        l2_size=32 * 4 * 64,
+        l2_assoc=4,
+        llc_size_per_core=64 * 4 * 64,
+        llc_assoc=4,
+        prefetch_queue_size=8,
+    ),
+    fifo_llc=False,
+    quantum=7,
+    probe_every=PROBE_EVERY,
+    cuts=(WARMUP, WARMUP + 7 * 20 + 5),
+    resume=("batched", "scalar"),
+)
+#: A zoo spec over a FIFO LLC with probes attached: the ``core.step``
+#: runner.
+STEP_CELL = Cell(
     workload="429.mcf",
     scheme="filtered:pythia",
     hierarchy=HierarchyConfig(
@@ -252,6 +275,7 @@ GENERIC_CELL = Cell(
 @example(cell=FUSED_CELL)
 @example(cell=FUSED_SMALL_CELL)
 @example(cell=GENERIC_CELL)
+@example(cell=STEP_CELL)
 def test_batched_replays_scalar_one_core(cell):
     sims = {engine: _single(cell, engine) for engine in ENGINES}
     snapshots = {}

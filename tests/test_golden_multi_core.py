@@ -107,9 +107,9 @@ def test_golden_covers_all_schemes():
 
 
 def test_ppf_mix_uses_the_fused_runner():
-    """Guard against the fused multi-core runner silently demoting to
-    the generic one (the golden comparison would still pass, but the
-    2.5x gate is won by the fused runner)."""
+    """Guard against the fused multi-core PPF runner silently falling
+    back to the generic one (the golden comparison would still pass,
+    but the 2.5x gate is won by the fused PPF runner)."""
     sim = MultiCoreSim(_mix(), "ppf", _config("batched"), seed=SEED)
     for core_index in range(len(MIX_WORKLOADS)):
         assert _core_mode(sim.o3cores[core_index], sim.hierarchy, core_index) == "ppf"

@@ -47,6 +47,7 @@ def test_every_simulation_path_runs_with_numpy_blocked(tmp_path):
         import repro
         import repro.__main__  # noqa: F401
         from repro import SimConfig, SuiteRunner, find_workload
+        from repro.core.ppf import PPF
         from repro.memory.hierarchy import MemoryHierarchy
         from repro.sim.multi_core import run_multi_core
         from repro.sim.single_core import run_single_core
@@ -61,14 +62,16 @@ def test_every_simulation_path_runs_with_numpy_blocked(tmp_path):
 
         xalan = find_workload("623.xalancbmk_s")
         mcf = find_workload("605.mcf_s")
-        # The fused runner never calls MemoryHierarchy.access; the
-        # generic one calls it once per record.
-        access_calls = []
-        access = MemoryHierarchy.access
-        MemoryHierarchy.access = lambda self, *args: access_calls.append(1) or access(self, *args)
+        # The fused PPF runner calls neither MemoryHierarchy.access nor
+        # PPF.train: the generic runner calls PPF.train, the step runner
+        # MemoryHierarchy.access.
+        calls = []
+        access, train = MemoryHierarchy.access, PPF.train
+        MemoryHierarchy.access = lambda self, *args: calls.append(1) or access(self, *args)
+        PPF.train = lambda self, *args: calls.append(1) or train(self, *args)
         fused = run_single_core(xalan, "ppf", config("batched"), seed=1, telemetry=None)
-        assert not access_calls, "ppf cell left the fused runner"
-        MemoryHierarchy.access = access
+        assert not calls, "ppf cell left the fused runner"
+        MemoryHierarchy.access, PPF.train = access, train
         cells = [
             fused,
             run_single_core(mcf, "pythia", config("batched"), seed=1, telemetry=None),

@@ -18,6 +18,7 @@ from repro.workloads.synthetic import (
     ScatterGatherPattern,
     SequentialPattern,
     StridedPattern,
+    _shuffled_ring,
     interleave,
 )
 
@@ -102,6 +103,7 @@ class TestPointerChaseRing:
 
     def test_footprint_is_about_eight_bytes_per_block(self):
         blocks = 1 << 15
+        _shuffled_ring.cache_clear()  # an earlier test's ring would make this no build
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -114,6 +116,18 @@ class TestPointerChaseRing:
                 tracemalloc.stop()
         # A list of int objects costs about 40 bytes per block.
         assert peak - before <= 9 * blocks
+
+    def test_patterns_share_one_read_only_ring(self):
+        """Rings are memoized per process: patterns built from the same
+        arguments share one ring, and nothing can write to it."""
+        first = PointerChasePattern(start_page=3, working_set_blocks=1 << 9, seed=11)
+        second = PointerChasePattern(start_page=3, working_set_blocks=1 << 9, seed=11)
+        other = PointerChasePattern(start_page=3, working_set_blocks=1 << 9, seed=12)
+        assert first._ring is second._ring
+        assert other._ring is not first._ring
+        with pytest.raises(TypeError):
+            first._ring[0] = 0
+        assert take(first, 1 << 9) == take(second, 1 << 9)
 
     def test_state_is_the_position_only(self):
         pattern = PointerChasePattern(start_page=1, working_set_blocks=1 << 10, seed=3)
