@@ -11,8 +11,7 @@ Subcommands:
 * ``sweep [--jobs N] [--cache-dir D] [--timeout S] [--retries N]
   [--ledger PATH] [--snapshot-dir D] [--checkpoint-every N]
   [--resume LEDGER] [--profile PATH] [--trace DIR] [--live|--quiet]
-  [--trace-file F ...] [--backend {local,farm}] [--queue-dir D]
-  [--farm-workers N]``
+  [--trace-file F ...]``
   — parallel, cached, fault-tolerant suite sweep (exits non-zero when
   cells stay unrecovered after retry + fallback); ``--snapshot-dir``
   reuses warmup snapshots across cells and runs, ``--resume`` adopts
@@ -20,20 +19,7 @@ Subcommands:
   cell schedule as telemetry artifacts, ``--live``/``--quiet`` force
   the TTY progress line on/off, ``--trace-file`` adds converted-on-the-
   fly file-backed workloads (their content digests fold into the
-  result-cache fingerprint), ``--backend farm`` executes through the
-  durable work queue at ``--queue-dir`` (spawning ``--farm-workers``
-  local worker subprocesses, or relying on external ``farm worker``
-  processes; 0 workers falls back to an in-process loopback drain)
-* ``farm broker --queue-dir D [sweep options]`` — run a sweep through
-  the farm queue (shorthand for ``sweep --backend farm``)
-* ``farm worker --queue-dir D [--max-cells N] [--follow]
-  [--idle-timeout S]`` — drain queued cells as a worker process (run
-  any number, on any host sharing the queue filesystem)
-* ``farm status --queue-dir D`` — ticket/claim/result/failure counts
-  and the queue manifest
-* ``serve [--host H] [--port P] [--cache-dir D] [--queue-dir D]`` —
-  asyncio HTTP front end (stdlib only): POST sweeps, stream live
-  lifecycle events, look cached results up by config fingerprint
+  result-cache fingerprint)
 * ``trace convert FILE [FILE...] [--format NAME] [--cache-dir D]`` —
   canonicalize external trace files (DRAMSim2 k6/mase text,
   ChampSim-style binary; gzip/zstd transparent) into the
@@ -325,15 +311,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             config = dataclasses.replace(
                 config, trace_digests=tuple(sorted(set(digests)))
             )
-        backend = None
-        if getattr(args, "backend", "local") == "farm":
-            if not args.queue_dir:
-                raise ValueError("--backend farm requires --queue-dir")
-            from .farm import FarmBackend
-
-            backend = FarmBackend(args.queue_dir, workers=args.farm_workers)
-        elif getattr(args, "queue_dir", None):
-            raise ValueError("--queue-dir only applies with --backend farm")
         runner = SuiteRunner(
             config,
             seed=args.seed,
@@ -343,7 +320,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ledger_path=args.ledger,
             snapshot_dir=args.snapshot_dir,
             checkpoint_every=args.checkpoint_every,
-            backend=backend,
         )
     except (UnknownComponentError, ValueError) as err:
         print(f"repro sweep: error: {err}", file=sys.stderr)
@@ -427,77 +403,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 3
-    return 0
-
-
-def _cmd_farm(args: argparse.Namespace) -> int:
-    from .farm import FarmQueue, FarmWorker
-    from .farm.queue import QueueError
-
-    if args.action == "broker":
-        # A broker is a sweep with the farm backend preselected; reuse
-        # the sweep handler so caching, ledger, resume, live progress
-        # and exit codes stay in one place.
-        args.backend = "farm"
-        return _cmd_sweep(args)
-
-    if args.action == "worker":
-        try:
-            worker = FarmWorker(args.queue_dir, worker_id=args.worker_id)
-        except (QueueError, OSError) as err:
-            print(f"repro farm: error: {err}", file=sys.stderr)
-            return 2
-        done = worker.drain(
-            max_cells=args.max_cells,
-            follow=args.follow,
-            idle_timeout=args.idle_timeout,
-        )
-        print(
-            f"worker {worker.worker_id}: completed {done} cell(s), "
-            f"{worker.failed_attempts} failed attempt(s)"
-        )
-        return 0
-
-    # status
-    queue = FarmQueue(args.queue_dir)
-    manifest = queue.manifest()
-    if manifest is None:
-        print(f"repro farm: error: no queue at {args.queue_dir}", file=sys.stderr)
-        return 2
-    counts = queue.counts()
-    print(f"queue {args.queue_dir}:")
-    for field in ("queued", "claimed", "expired_leases", "results", "failed"):
-        print(f"  {field:14s} {counts.get(field, 0)}")
-    for key in sorted(manifest):
-        print(f"  manifest.{key} = {manifest[key]}")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .farm.service import FarmService
-
-    service = FarmService(
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
-        seed=args.seed,
-        records=args.records,
-        snapshot_dir=args.snapshot_dir,
-        queue_dir=args.queue_dir,
-        farm_workers=args.farm_workers,
-    )
-    backend = "farm" if args.queue_dir else "local"
-    print(
-        f"repro serve: http://{args.host}:{args.port} "
-        f"(backend={backend}, cache={args.cache_dir})",
-        file=sys.stderr,
-    )
-    try:
-        service.run_blocking(host=args.host, port=args.port)
-    except KeyboardInterrupt:
-        pass
-    except OSError as err:
-        print(f"repro serve: error: {err}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -843,221 +748,121 @@ def main(argv: list | None = None) -> int:
         help="probe sampling cadence in trace records (with --trace)",
     )
 
-    def _add_sweep_options(target: argparse.ArgumentParser, broker: bool) -> None:
-        """The sweep surface, shared verbatim by ``farm broker``.
-
-        With ``broker=True``, ``--queue-dir`` is required (a broker is
-        nothing without its queue) and ``--backend`` is absent (it is
-        forced to ``farm`` by the handler).
-        """
-        target.add_argument(
-            "--workloads",
-            nargs="+",
-            metavar="NAME",
-            help="workload names (default: memory-intensive SPEC 2017 subset)",
-        )
-        target.add_argument(
-            "--prefetchers",
-            nargs="+",
-            default=["spp", "ppf"],
-            metavar="SPEC",
-            help="prefetcher names and/or filtered:<inner> specs "
-            "(registry-validated eagerly, with did-you-mean)",
-        )
-        target.add_argument(
-            "--jobs", type=int, default=None, help="worker processes (default: all cores)"
-        )
-        target.add_argument(
-            "--cache-dir", default=None, help="persistent result cache directory"
-        )
-        target.add_argument("--records", type=int, default=20_000)
-        target.add_argument("--seed", type=int, default=1)
-        target.add_argument(
-            "--engine",
-            default=None,
-            metavar="NAME",
-            help="simulation engine for every cell (folds into the result-"
-            "cache fingerprint; scalar, batched, ...)",
-        )
-        target.add_argument(
-            "--timeout",
-            type=float,
-            default=None,
-            help="per-cell timeout in seconds (default: unbounded; with "
-            "--backend farm this is the lease TTL, i.e. the hang-recovery "
-            "horizon)",
-        )
-        target.add_argument(
-            "--retries",
-            type=int,
-            default=1,
-            help="pool re-executions per failed/hung cell before serial fallback",
-        )
-        target.add_argument(
-            "--ledger",
-            default=None,
-            metavar="PATH",
-            help="append a JSONL run ledger (per-cell status/attempts/provenance)",
-        )
-        target.add_argument(
-            "--snapshot-dir",
-            default=None,
-            metavar="DIR",
-            help="warmup snapshot store (reused across cells and runs)",
-        )
-        target.add_argument(
-            "--checkpoint-every",
-            type=int,
-            default=None,
-            metavar="N",
-            help="with --snapshot-dir: periodic mid-measure checkpoint every "
-            "N records (crash-resume granularity)",
-        )
-        target.add_argument(
-            "--resume",
-            default=None,
-            metavar="LEDGER",
-            help="adopt completed cells recorded in a prior run's ledger",
-        )
-        target.add_argument(
-            "--profile",
-            metavar="PATH",
-            default=None,
-            help="profile the sweep (parent process) and dump pstats to PATH",
-        )
-        target.add_argument(
-            "--trace",
-            metavar="DIR",
-            default=None,
-            help="record the cell schedule as telemetry artifacts in DIR",
-        )
-        target.add_argument(
-            "--probe-every",
-            type=int,
-            default=1000,
-            metavar="N",
-            help="probe cadence for any directly-driven runs (with --trace)",
-        )
-        target.add_argument(
-            "--trace-file",
-            dest="trace_files",
-            action="append",
-            metavar="PATH",
-            default=None,
-            help="external trace file (k6/mase text or ChampSim-style binary, "
-            ".gz ok) to convert through the digest cache and sweep as a "
-            "file-backed workload; repeatable",
-        )
-        target.add_argument(
-            "--trace-cache",
-            default="trace-cache",
-            metavar="DIR",
-            help="canonical trace cache directory (with --trace-file)",
-        )
-        if not broker:
-            target.add_argument(
-                "--backend",
-                default="local",
-                choices=["local", "farm"],
-                help="where pending cells execute: the in-process pool, or "
-                "the durable work queue at --queue-dir",
-            )
-        target.add_argument(
-            "--queue-dir",
-            default=None,
-            metavar="DIR",
-            required=broker,
-            help="farm queue directory (shared by broker and workers)",
-        )
-        target.add_argument(
-            "--farm-workers",
-            type=int,
-            default=0,
-            metavar="N",
-            help="with --backend farm: worker subprocesses to spawn for "
-            "this sweep (0: external workers, else in-process loopback)",
-        )
-        live_group = target.add_mutually_exclusive_group()
-        live_group.add_argument(
-            "--live",
-            action="store_true",
-            help="force the one-line stderr progress renderer on",
-        )
-        live_group.add_argument(
-            "--quiet",
-            action="store_true",
-            help="force the progress renderer off (default: on only for a TTY)",
-        )
-
     sweep_parser = sub.add_parser(
         "sweep", help="parallel, cached (workload × prefetcher) sweep"
     )
-    _add_sweep_options(sweep_parser, broker=False)
-
-    farm_parser = sub.add_parser(
-        "farm", help="distributed sweep farm: broker / worker / status"
+    sweep_parser.add_argument(
+        "--workloads",
+        nargs="+",
+        metavar="NAME",
+        help="workload names (default: memory-intensive SPEC 2017 subset)",
     )
-    farm_sub = farm_parser.add_subparsers(dest="action", required=True)
-    broker_parser = farm_sub.add_parser(
-        "broker", help="run a sweep through the farm queue (sweep --backend farm)"
+    sweep_parser.add_argument(
+        "--prefetchers",
+        nargs="+",
+        default=["spp", "ppf"],
+        metavar="SPEC",
+        help="prefetcher names and/or filtered:<inner> specs "
+        "(registry-validated eagerly, with did-you-mean)",
     )
-    _add_sweep_options(broker_parser, broker=True)
-    worker_parser = farm_sub.add_parser(
-        "worker", help="claim and simulate queued cells (run any number of these)"
+    sweep_parser.add_argument(
+        "--jobs", type=int, default=None, help="worker processes (default: all cores)"
     )
-    worker_parser.add_argument(
-        "--queue-dir", required=True, metavar="DIR", help="farm queue directory"
+    sweep_parser.add_argument(
+        "--cache-dir", default=None, help="persistent result cache directory"
     )
-    worker_parser.add_argument(
-        "--worker-id", default=None, help="stable identity (default: host-pid)"
+    sweep_parser.add_argument("--records", type=int, default=20_000)
+    sweep_parser.add_argument("--seed", type=int, default=1)
+    sweep_parser.add_argument(
+        "--engine",
+        default=None,
+        metavar="NAME",
+        help="simulation engine for every cell (folds into the result-"
+        "cache fingerprint; scalar, batched, ...)",
     )
-    worker_parser.add_argument(
-        "--max-cells", type=int, default=None, metavar="N",
-        help="exit after completing N cells (default: drain the queue)",
+    sweep_parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="per-cell timeout in seconds (default: unbounded)",
     )
-    worker_parser.add_argument(
-        "--follow", action="store_true",
-        help="keep polling an empty queue for new work instead of exiting",
+    sweep_parser.add_argument(
+        "--retries",
+        type=int,
+        default=1,
+        help="pool re-executions per failed/hung cell before serial fallback",
     )
-    worker_parser.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="S",
-        help="exit after S seconds without claiming anything",
+    sweep_parser.add_argument(
+        "--ledger",
+        default=None,
+        metavar="PATH",
+        help="append a JSONL run ledger (per-cell status/attempts/provenance)",
     )
-    status_parser = farm_sub.add_parser(
-        "status", help="queue counts and manifest"
+    sweep_parser.add_argument(
+        "--snapshot-dir",
+        default=None,
+        metavar="DIR",
+        help="warmup snapshot store (reused across cells and runs)",
     )
-    status_parser.add_argument(
-        "--queue-dir", required=True, metavar="DIR", help="farm queue directory"
+    sweep_parser.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=None,
+        metavar="N",
+        help="with --snapshot-dir: periodic mid-measure checkpoint every "
+        "N records (crash-resume granularity)",
     )
-
-    serve_parser = sub.add_parser(
-        "serve", help="HTTP front end: submit sweeps, stream progress, fetch results"
+    sweep_parser.add_argument(
+        "--resume",
+        default=None,
+        metavar="LEDGER",
+        help="adopt completed cells recorded in a prior run's ledger",
     )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=8943)
-    serve_parser.add_argument(
-        "--cache-dir", default="sweep-cache",
-        help="shared result cache every job reads/writes (the hit-rate layer)",
+    sweep_parser.add_argument(
+        "--profile",
+        metavar="PATH",
+        default=None,
+        help="profile the sweep (parent process) and dump pstats to PATH",
     )
-    serve_parser.add_argument(
-        "--records", type=int, default=20_000,
-        help="default measurement window for submitted sweeps",
+    sweep_parser.add_argument(
+        "--trace",
+        metavar="DIR",
+        default=None,
+        help="record the cell schedule as telemetry artifacts in DIR",
     )
-    serve_parser.add_argument("--seed", type=int, default=1)
-    serve_parser.add_argument(
-        "--jobs", type=int, default=None, help="worker processes per job sweep"
+    sweep_parser.add_argument(
+        "--probe-every",
+        type=int,
+        default=1000,
+        metavar="N",
+        help="probe cadence for any directly-driven runs (with --trace)",
     )
-    serve_parser.add_argument(
-        "--snapshot-dir", default=None, metavar="DIR",
-        help="warmup snapshot store shared across jobs",
+    sweep_parser.add_argument(
+        "--trace-file",
+        dest="trace_files",
+        action="append",
+        metavar="PATH",
+        default=None,
+        help="external trace file (k6/mase text or ChampSim-style binary, "
+        ".gz ok) to convert through the digest cache and sweep as a "
+        "file-backed workload; repeatable",
     )
-    serve_parser.add_argument(
-        "--queue-dir", default=None, metavar="DIR",
-        help="execute jobs through the farm queue at DIR instead of locally",
+    sweep_parser.add_argument(
+        "--trace-cache",
+        default="trace-cache",
+        metavar="DIR",
+        help="canonical trace cache directory (with --trace-file)",
     )
-    serve_parser.add_argument(
-        "--farm-workers", type=int, default=0, metavar="N",
-        help="with --queue-dir: worker subprocesses to spawn per job",
+    live_group = sweep_parser.add_mutually_exclusive_group()
+    live_group.add_argument(
+        "--live",
+        action="store_true",
+        help="force the one-line stderr progress renderer on",
+    )
+    live_group.add_argument(
+        "--quiet",
+        action="store_true",
+        help="force the progress renderer off (default: on only for a TTY)",
     )
 
     checkpoint_parser = sub.add_parser(
@@ -1177,8 +982,6 @@ def main(argv: list | None = None) -> int:
         "run": _cmd_run,
         "bench": _cmd_bench,
         "sweep": _cmd_sweep,
-        "farm": _cmd_farm,
-        "serve": _cmd_serve,
         "trace": _cmd_trace,
         "checkpoint": _cmd_checkpoint,
         "registry": _cmd_registry,

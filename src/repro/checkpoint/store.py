@@ -31,9 +31,8 @@ class SnapshotStore:
     def contains(self, digest: str) -> bool:
         """Whether an entry exists under ``digest`` (no accounting).
 
-        A cheap existence probe for dispatchers deciding *where* to run
-        work (the suite runner's hit/miss stats, the farm broker's
-        snapshot provenance) without charging the store a miss.
+        A cheap existence probe for the suite runner's warmup hit/miss
+        stats, without charging the store a miss.
         """
         return self.path_for(digest).exists()
 

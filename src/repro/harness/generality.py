@@ -5,28 +5,25 @@ question it couldn't.  This experiment sweeps the full cross-product
 
     prefetcher × {unfiltered, filtered:<prefetcher>} × workload family
 
-through :class:`~repro.sim.suite.SuiteRunner` (so it inherits caching,
-fault tolerance and any backend — pass a farm backend to distribute it)
-and reports, per cell, the three numbers that answer the question:
-prefetch **accuracy**, miss **coverage** and **IPC speedup** over the
-no-prefetch baseline, with the filtered-vs-unfiltered IPC delta in the
-last column.  A positive delta on a non-SPP prefetcher is the filter
-generalizing; a negative one is the filter fighting a candidate stream
-it can't read.
+through :class:`~repro.sim.suite.SuiteRunner` (so it inherits caching
+and fault tolerance) and reports, per cell, the three numbers that
+answer the question: prefetch **accuracy**, miss **coverage** and
+**IPC speedup** over the no-prefetch baseline, with the
+filtered-vs-unfiltered IPC delta in the last column.  A positive delta
+on a non-SPP prefetcher is the filter generalizing; a negative one is
+the filter fighting a candidate stream it can't read.
 
-``document()`` returns the JSON-serializable form the zoo-smoke CI job
-uploads as the comparison artifact.
+``document()`` returns the JSON-serializable form of the comparison.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.config import SimConfig
 from ..sim.single_core import RunResult
-from ..sim.suite import Backend, SuiteResult, SuiteRunner
+from ..sim.suite import SuiteResult, SuiteRunner
 from ..workloads import WorkloadSpec, suite as workload_suite
 from ..zoo.filtered import FILTER_SPEC_PREFIX
 from .report import render_table
@@ -47,7 +44,7 @@ class GeneralityResult:
     suite: SuiteResult
 
     def document(self) -> Dict[str, object]:
-        """JSON-ready comparison artifact (the zoo-smoke upload)."""
+        """JSON-ready comparison artifact."""
         return {
             "schema": "repro.generality/v1",
             "prefetchers": list(self.prefetchers),
@@ -97,14 +94,12 @@ def run_generality(
     per_family: int = 2,
     jobs: Optional[int] = None,
     cache_dir=None,
-    backend: Optional[Backend] = None,
 ) -> GeneralityResult:
     """Sweep the generality cross-product and assemble comparison rows.
 
     One SuiteRunner sweep covers every scheme — ``none`` (the speedup
     baseline), each prefetcher, and each ``filtered:<prefetcher>`` —
-    over the family sample, locally or on whatever ``backend`` is
-    passed (the farm, say).
+    over the family sample.
     """
     config = config or SimConfig.quick()
     pairs = family_workloads(families, per_family)
@@ -113,9 +108,7 @@ def run_generality(
     for base in prefetchers:
         schemes.append(base)
         schemes.append(FILTER_SPEC_PREFIX + base)
-    runner = SuiteRunner(
-        config, seed=seed, jobs=jobs, cache_dir=cache_dir, backend=backend
-    )
+    runner = SuiteRunner(config, seed=seed, jobs=jobs, cache_dir=cache_dir)
     suite = runner.sweep(workloads, schemes)
 
     rows: List[Dict[str, object]] = []
@@ -190,14 +183,3 @@ def report(result: GeneralityResult) -> str:
     if not result.suite.failure_report.complete:
         out += "\n" + result.suite.failure_report.summary()
     return out
-
-
-def suite_stats(result: GeneralityResult) -> str:
-    """Canonical JSON of every run, for backend bit-identity checks."""
-    import json
-
-    payload = {
-        f"{workload}/{scheme}": dataclasses.asdict(run)
-        for (workload, scheme), run in sorted(result.suite.runs.items())
-    }
-    return json.dumps(payload, sort_keys=True)

@@ -84,48 +84,3 @@ def atomic_write_text(path: Path | str, text: str, encoding: str = "utf-8") -> P
     with atomic_write(path, "w", encoding=encoding) as handle:
         handle.write(text)
     return path
-
-
-def exclusive_create(path: Path | str, text: str, encoding: str = "utf-8") -> bool:
-    """Create ``path`` with ``text`` iff it does not exist yet.
-
-    The create itself is the atomic primitive (``O_CREAT | O_EXCL``):
-    exactly one of any number of concurrent callers — across processes
-    and across hosts sharing a filesystem — wins and writes the file.
-    This is the *claim* half of the farm queue's claim/lease protocol;
-    the *takeover* half (replacing an expired lease) goes through
-    :func:`atomic_write`, whose rename is the last-writer-wins primitive.
-
-    Returns ``True`` when this caller created the file, ``False`` when
-    it already existed.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
-    except FileExistsError:
-        return False
-    try:
-        os.write(fd, text.encode(encoding))
-    finally:
-        os.close(fd)
-    return True
-
-
-def append_line(path: Path | str, line: str, encoding: str = "utf-8") -> None:
-    """Append one ``\\n``-terminated line to ``path``.
-
-    Uses a single ``O_APPEND`` write, so concurrent appenders (the farm
-    queue's event log is shared by every worker) never interleave within
-    a line as long as each line stays under the platform's atomic append
-    size (POSIX guarantees ``PIPE_BUF`` ≥ 512 bytes; Linux gives 4096 —
-    lifecycle records are well under either).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = (line.rstrip("\n") + "\n").encode(encoding)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, payload)
-    finally:
-        os.close(fd)

@@ -78,9 +78,9 @@ def token_digest(*parts: Any, length: int = 32) -> str:
 
     The shared key recipe behind every content-addressed artifact that
     is named by *coordinates* rather than by config alone: result-cache
-    entries, per-cell checkpoints, and farm queue cell ids all reduce a
-    list of primitives to one hex name through this function, so any two
-    subsystems that agree on the parts agree on the address.
+    entries and per-cell checkpoints both reduce a list of primitives to
+    one hex name through this function, so any two subsystems that agree
+    on the parts agree on the address.
     """
     blob = json.dumps(list(parts)).encode()
     return hashlib.sha256(blob).hexdigest()[:length]
@@ -90,9 +90,8 @@ def cell_digest(workload: str, prefetcher: str, config: Any, seed: int) -> str:
     """Content address of one sweep cell.
 
     Keys the cell's periodic mid-measure checkpoint in the snapshot
-    store and its ticket/claim/result files in a farm work queue —
-    because the digest folds in :func:`fingerprint_digest`, two sweeps
-    over different configs can share one queue directory without their
-    cells colliding.
+    store — because the digest folds in :func:`fingerprint_digest`, two
+    sweeps over different configs can share one snapshot directory
+    without their checkpoints colliding.
     """
     return token_digest("cell", workload, prefetcher, fingerprint_digest(config), seed)

@@ -43,8 +43,8 @@ from .fingerprint import fingerprint_digest
 def make_prefetcher(name: str) -> Prefetcher:
     """Instantiate a prefetcher by name or ``filtered:<inner>`` spec.
 
-    The single chokepoint every driver (CLI, suite workers, farm
-    workers, checkpoints) resolves prefetchers through — which is why
+    The single chokepoint every driver (CLI, suite workers,
+    checkpoints) resolves prefetchers through — which is why
     the filter seam lives here: a ``filtered:`` spec rehydrates
     identically in any process.
     """

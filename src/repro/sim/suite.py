@@ -29,13 +29,6 @@ Workers rehydrate workloads by name through the component registry
 (:func:`repro.workloads.find_workload`); workload specs whose builders
 are picklable are shipped directly, so custom out-of-catalog specs
 parallelize too, and anything else transparently runs in-process.
-
-Execution itself sits behind the :class:`Backend` seam: the runner owns
-cell expansion, caching, the ledger and failure semantics, while a
-backend decides *where* pending cells run — the in-process
-:class:`LocalPoolBackend` here, or :class:`repro.farm.FarmBackend`,
-which feeds a durable work queue drained by any number of worker
-processes (see ``docs/architecture.md`` "Sweep farm & service").
 """
 
 from __future__ import annotations
@@ -176,9 +169,8 @@ class SuiteResult:
 
     ``cache_hits``/``executed`` split the served cells into ones
     answered straight from the result cache (memory or disk) and ones
-    that ran a simulation somewhere — the "CDN" efficiency of the
-    fingerprint cache, which is the number that matters once sweeps are
-    service-fronted: a re-submitted suite should be ~all hits.
+    that ran a simulation — the efficiency of the fingerprint cache: a
+    re-run of an unchanged suite should be all hits.
     """
 
     runs: Dict[Tuple[str, str], RunResult] = dataclasses.field(default_factory=dict)
@@ -303,9 +295,6 @@ class SweepStats(StatGroup):
     snapshot_misses: int = 0
     #: Completed cells adopted from a prior run's ledger (crash-resume).
     resumed: int = 0
-    #: Farm cells whose lease expired (dead/hung worker) and were
-    #: reclaimed by another worker.
-    reclaimed: int = 0
     retries: int = 0
     timeouts: int = 0
     crashes: int = 0
@@ -315,29 +304,6 @@ class SweepStats(StatGroup):
     unrecovered: int = 0
 
 
-# The cell content address moved to repro.sim.fingerprint so the farm
-# queue can name tickets/claims/results without importing this module;
-# the alias keeps existing callers and tests working.
-_cell_digest = cell_digest
-
-
-def result_cache_path_for_digest(
-    cache_dir: Union[str, Path],
-    workload: str,
-    prefetcher: str,
-    fingerprint: str,
-    seed: int,
-) -> Path:
-    """Result-cache entry for already-digested config coordinates.
-
-    The HTTP front end resolves cached-result lookups with nothing but
-    the fingerprint digest a client quoted back — no config object ever
-    crosses the wire.
-    """
-    digest = token_digest(CACHE_SCHEMA_VERSION, workload, prefetcher, fingerprint, seed)
-    return Path(cache_dir) / f"{digest}.json"
-
-
 def result_cache_path(
     cache_dir: Union[str, Path],
     workload: str,
@@ -345,15 +311,11 @@ def result_cache_path(
     config: SimConfig,
     seed: int,
 ) -> Path:
-    """Where one cell's cached :class:`RunResult` lives under ``cache_dir``.
-
-    This *is* the result cache's key recipe — shared by the suite
-    runner, farm workers publishing results from other processes, and
-    the HTTP front end serving cached lookups by fingerprint.
-    """
-    return result_cache_path_for_digest(
-        cache_dir, workload, prefetcher, fingerprint_digest(config), seed
+    """Where one cell's cached :class:`RunResult` lives under ``cache_dir``."""
+    digest = token_digest(
+        CACHE_SCHEMA_VERSION, workload, prefetcher, fingerprint_digest(config), seed
     )
+    return Path(cache_dir) / f"{digest}.json"
 
 
 def _simulate_cell(
@@ -385,7 +347,7 @@ def _simulate_cell(
         root = Path(snapshot_dir)
         warmup_store = SnapshotStore(root)
         if checkpoint_every is not None:
-            checkpoint_path = root / f"{_cell_digest(spec.name, prefetcher, config, seed)}.ckpt"
+            checkpoint_path = root / f"{cell_digest(spec.name, prefetcher, config, seed)}.ckpt"
     # telemetry=None (not merely omitted) pins cells to the untraced
     # fast path even under an ambient ``repro.telemetry.activate``
     # session: cached results must never carry trace state, or a traced
@@ -443,60 +405,6 @@ class _Cell:
         return (self.spec.name, self.scheme)
 
 
-class Backend:
-    """How a sweep's cache-missing cells get executed.
-
-    :meth:`SuiteRunner.sweep` owns everything *around* execution — cell
-    expansion, cache lookups, ledger writes, lifecycle fan-out, the
-    failure report and degraded-sweep semantics — and delegates only the
-    actual running of pending cells to a backend.  Implementations must
-    uphold two contracts:
-
-    * every pending cell ends up either in ``suite.runs`` (recorded via
-      ``runner._record`` so the caches agree) or in
-      ``report.failures`` as unrecovered — never silently dropped;
-    * execution is a pure function of ``(workload, prefetcher, config,
-      seed)``, so *where* a cell runs can never change *what* it
-      produces (the farm/local bit-identity tests pin this down).
-
-    :class:`LocalPoolBackend` is the in-process default;
-    :class:`repro.farm.FarmBackend` executes through a durable work
-    queue shared with external worker processes.
-    """
-
-    name = "abstract"
-
-    def execute(
-        self,
-        runner: "SuiteRunner",
-        pending: List["_Cell"],
-        config: SimConfig,
-        suite: SuiteResult,
-        report: FailureReport,
-    ) -> None:
-        raise NotImplementedError
-
-
-class LocalPoolBackend(Backend):
-    """The classic single-host executor: process pool with recovery."""
-
-    name = "local"
-
-    def execute(
-        self,
-        runner: "SuiteRunner",
-        pending: List["_Cell"],
-        config: SimConfig,
-        suite: SuiteResult,
-        report: FailureReport,
-    ) -> None:
-        if len(pending) > 1 and runner.jobs > 1:
-            runner._run_parallel(pending, config, suite, report)
-        else:
-            for cell in pending:
-                runner._serial_cell(cell, config, suite, report, recovery=None)
-
-
 class SuiteRunner:
     """Parallel sweep executor with caches, retries and a run ledger."""
 
@@ -511,7 +419,6 @@ class SuiteRunner:
         snapshot_dir: Optional[Union[str, Path]] = None,
         checkpoint_every: Optional[int] = None,
         observers: Optional[Sequence] = None,
-        backend: Optional[Backend] = None,
     ) -> None:
         self.config = config or SimConfig.default()
         self.seed = seed
@@ -542,8 +449,6 @@ class SuiteRunner:
         #: retried/finished) as it happens — the live progress renderer
         #: and anything else that wants to watch a sweep breathe.
         self.observers: List = list(observers or [])
-        #: Execution strategy for cache-missing cells (see :class:`Backend`).
-        self.backend: Backend = backend if backend is not None else LocalPoolBackend()
         self._sweep_epoch = perf_counter()
 
     def add_observer(self, observer) -> None:
@@ -565,15 +470,6 @@ class SuiteRunner:
             "t": round(perf_counter() - self._sweep_epoch, 6),
         }
         record.update(extra)
-        self.broadcast(record)
-
-    def broadcast(self, record: Dict) -> None:
-        """Feed one already-built record to the ledger and every observer.
-
-        The farm backend re-emits worker-produced lifecycle records
-        through here, so remote execution feeds the same ledger and the
-        same live-progress/HTTP subscribers as in-process execution.
-        """
         self._log(**record)
         for observer in self.observers:
             try:
@@ -830,13 +726,16 @@ class SuiteRunner:
                     pending.append(cell)
                     self._lifecycle("queued", spec.name, scheme)
 
-        self.backend.execute(self, pending, config, suite, report)
+        if len(pending) > 1 and self.jobs > 1:
+            self._run_parallel(pending, config, suite, report)
+        else:
+            for cell in pending:
+                self._serial_cell(cell, config, suite, report, recovery=None)
 
         suite.cache_hits = served["memory"] + served["disk"]
         suite.executed = len(suite.runs) - suite.cache_hits
         self._log(
             event="sweep",
-            backend=self.backend.name,
             cells=len(pending) + served["memory"] + served["disk"],
             ok=len(suite.runs),
             failed=len(report.unrecovered),

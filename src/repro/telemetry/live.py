@@ -43,7 +43,6 @@ class LiveProgress:
             "cached": 0,
             "started": 0,
             "retried": 0,
-            "reclaimed": 0,
             "finished": 0,
             "failed": 0,
         }
@@ -82,9 +81,6 @@ class LiveProgress:
             parts.append(f"cached {counts['cached']}")
         if counts["retried"]:
             parts.append(f"retried {counts['retried']}")
-        if counts["reclaimed"]:
-            # Farm sweeps only: cells taken over from an expired lease.
-            parts.append(f"reclaimed {counts['reclaimed']}")
         if counts["failed"]:
             parts.append(f"failed {counts['failed']}")
         return " | ".join(parts)

@@ -5,8 +5,8 @@ online-RL prefetcher and the Jamet-style two-level neural predictor —
 plus the generic ``filtered:<inner>`` seam that composes the paper's
 perceptron filter over any registered prefetcher.  Importing this
 package registers every zoo component; ``repro.sim.single_core``
-imports it so worker processes (pool and farm) can rehydrate zoo
-prefetchers by name.
+imports it so sweep pool workers can rehydrate zoo prefetchers by
+name.
 """
 
 from .filtered import (

@@ -8,7 +8,7 @@ candidate-producing prefetcher in :class:`~repro.core.ppf.PPF`, so
 over aggressively-tuned SPP, pinned by ``tests/test_zoo.py`` against the
 committed golden stats) and the generality cross-product is expressible
 anywhere a prefetcher name is accepted: ``sweep --prefetchers``,
-checkpoints, the farm, golden cells.
+checkpoints, golden cells.
 
 Inner prefetchers carry *filtered tunings*: per §4.1 the wrapped
 prefetcher's internal throttles are discarded so the perceptron owns

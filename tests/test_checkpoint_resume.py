@@ -23,9 +23,10 @@ import pytest
 from repro.checkpoint import SnapshotStore, load_snapshot
 from repro.checkpoint.replay import complete_single_core
 from repro.sim.config import SimConfig
+from repro.sim.fingerprint import cell_digest
 from repro.sim.multi_core import run_multi_core
 from repro.sim.single_core import SingleCoreSim, run_single_core
-from repro.sim.suite import SuiteRunner, _cell_digest
+from repro.sim.suite import SuiteRunner
 from repro.workloads import find_workload
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.spec2017 import WorkloadSpec
@@ -192,7 +193,7 @@ class TestCrashResume:
         _simulate_cell(
             find_workload("605.mcf_s"), "spp", GOLDEN_CONFIG, SEED, str(tmp_path), 500
         )
-        digest = _cell_digest("605.mcf_s", "spp", GOLDEN_CONFIG, SEED)
+        digest = cell_digest("605.mcf_s", "spp", GOLDEN_CONFIG, SEED)
         assert not (tmp_path / f"{digest}.ckpt").exists()
         # The warmup snapshot stays: it is the cross-run reuse artifact.
         assert list(tmp_path.glob("*.ckpt"))

@@ -4,8 +4,7 @@ numpy is needed only to decode or write trace files (``repro.traces``)
 and for SimPoint clustering (``repro.workloads.simpoint``), and both
 import it inside the functions that use it.  Every simulation path --
 either engine, one core or several, a sweep -- must run with numpy
-unimportable, so no CLI call, pool worker or farm worker pays for
-loading it.
+unimportable, so no CLI call or pool worker pays for loading it.
 
 Each case runs in a fresh interpreter: the test process itself has
 long since imported numpy through other tests.

@@ -315,24 +315,41 @@ class TestLiveProgress:
 
 
 class TestSweepLifecycle:
-    def test_lifecycle_events_reach_ledger_and_observers(self, tmp_path):
+    @pytest.mark.parametrize(
+        "jobs, schemes",
+        [
+            pytest.param(1, ["spp"], id="serial"),
+            # Two cells on two jobs take the process pool: the records of
+            # cells simulated in workers must still reach the ledger and
+            # the observers of the sweeping process.
+            pytest.param(2, ["spp", "ppf"], id="pool"),
+        ],
+    )
+    def test_lifecycle_events_reach_ledger_and_observers(self, tmp_path, jobs, schemes):
         ledger = tmp_path / "ledger.jsonl"
         seen = []
-        runner = SuiteRunner(TINY, seed=1, jobs=1, ledger_path=ledger,
+        runner = SuiteRunner(TINY, seed=1, jobs=jobs, ledger_path=ledger,
                              observers=[seen.append])
         workloads = [find_workload("605.mcf_s")]
-        runner.sweep(workloads, ["spp"], include_baseline=False)
+        suite = runner.sweep(workloads, schemes, include_baseline=False)
+        assert len(suite.runs) == len(schemes)
 
-        phases = [record["phase"] for record in seen]
-        assert phases.count("queued") == 1
-        assert phases.count("started") == 1
-        assert phases.count("finished") == 1
+        for scheme in schemes:
+            phases = [r["phase"] for r in seen if r["prefetcher"] == scheme]
+            assert phases.count("queued") == 1
+            assert phases.count("started") == 1
+            assert phases.count("finished") == 1
         assert all(record["event"] == "lifecycle" for record in seen)
         assert all(isinstance(record["t"], float) for record in seen)
+        # In-process cells mark their start ``serial``; pool cells do not.
+        started = [r for r in seen if r["phase"] == "started"]
+        assert all(r.get("serial", False) == (jobs == 1) for r in started)
 
         lines = [json.loads(line) for line in ledger.read_text().splitlines()]
-        ledger_phases = [r["phase"] for r in lines if r.get("event") == "lifecycle"]
-        assert ledger_phases == phases
+        ledger_phases = [
+            (r["phase"], r["prefetcher"]) for r in lines if r.get("event") == "lifecycle"
+        ]
+        assert ledger_phases == [(r["phase"], r["prefetcher"]) for r in seen]
 
     def test_cached_cells_emit_cached_not_started(self, tmp_path):
         seen = []

@@ -250,23 +250,28 @@ def test_filter_seam_probe_labels_inner_prefetcher():
 def test_generality_experiment_tiny():
     from repro.harness.generality import report, run_generality
 
+    prefetchers = ("spp", "pythia", "two-level")
+    families = ("spec2017", "cloudsuite")
     result = run_generality(
         config=_config(measure=600, warmup=150),
-        prefetchers=("spp",),
-        families=("spec2017",),
+        prefetchers=prefetchers,
+        families=families,
         per_family=1,
         jobs=1,
     )
-    assert len(result.rows) == 1
-    row = result.rows[0]
-    assert row["prefetcher"] == "spp"
-    for side in ("unfiltered", "filtered"):
-        assert set(row[side]) == {"accuracy", "coverage", "ipc", "speedup"}
+    # The whole cross-product completes, one row per (family, prefetcher).
+    pairs = [(row["family"], row["prefetcher"]) for row in result.rows]
+    assert sorted(pairs) == sorted((f, p) for f in families for p in prefetchers)
+    for row in result.rows:
+        for side in ("unfiltered", "filtered"):
+            assert set(row[side]) == {"accuracy", "coverage", "ipc", "speedup"}
     document = result.document()
     assert document["schema"] == "repro.generality/v1"
     assert document["complete"]
     rendered = report(result)
-    assert "f.speedup" in rendered and "spp" in rendered
+    assert "f.speedup" in rendered
+    for name in prefetchers:
+        assert name in rendered
 
 
 # -- CLI -----------------------------------------------------------------------
